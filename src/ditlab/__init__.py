@@ -6,11 +6,11 @@ caching baseline, and exact block-forward cost accounting.
 """
 
 from .autodiff import Tensor, backward, mse
-from .caching import CacheConfig, CacheStore, cached_sample, location_preset
+from .caching import CacheConfig, CacheStore, location_preset
 from .data import Dataset, batches, gen_shapes, load_idx
 from .dit import DiT, BackboneConfig, DiTBlock, FeatureTap
 from .feedback import FeedbackState, ilf_forward, make_feedback
-from .optim import Adam, AdamState, adam_step
+from .optim import Adam
 from .schedule import (
     InferencePlan,
     NoiseSchedule,

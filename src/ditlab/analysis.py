@@ -9,6 +9,7 @@ import numpy as np
 
 from . import schedule as sched
 from .caching import CacheConfig
+from .dit import BackboneConfig
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +199,20 @@ class BenchEntry:
     cache_count: int = 0
     refresh_period: int = 2
 
+    def plan(self, T: int, n_blocks: int) -> sched.InferencePlan:
+        if self.kind != "ilf":
+            return sched.make_plain_plan(self.steps, T, n_blocks)
+        if self.loop is None:
+            raise ValueError("ilf bench entry needs a loop")
+        return sched.make_plan(self.steps, T, self.tpost_mode, self.preset, self.loop,
+                               n_blocks, self.orientation)
+
+    def cache_config(self, n_blocks: int) -> CacheConfig | None:
+        if self.kind != "cached":
+            return None
+        return CacheConfig.from_preset(self.cache_location, self.cache_count, n_blocks,
+                                       self.refresh_period)
+
     def label(self) -> str:
         bits = [f"S={self.steps}"]
         if self.kind == "ilf":
@@ -222,71 +237,37 @@ class BenchRow:
 BENCH_COLUMNS = ("kind", "config", "block_forwards", "wall_ms", "speedup", "seed")
 
 
-def _mock_cost(entry: BenchEntry, n: int) -> int:
-    if entry.kind == "baseline":
-        return sched.baseline_block_cost(n, entry.steps)
-    if entry.kind == "ilf":
-        if entry.loop is None:
-            raise ValueError("ilf bench entry needs a loop")
-        flags = sched._preset_flags(entry.preset, entry.steps)
-        m = entry.loop[1] - entry.loop[0] + 1
-        return sched.ilf_block_cost(n, entry.steps, m, sum(flags))
-    if entry.kind == "cached":
-        return sched.cached_block_cost(n, entry.steps, entry.cache_count,
-                                       entry.refresh_period)
-    raise ValueError(f"unknown kind {entry.kind!r}")
-
-
 def bench(entries, model=None, ns=None, fs=None, class_id=0, seed: int = 0,
-          n_samples: int = 1, mock_n: int | None = None, repeats: int = 1) -> list:
+          n_samples: int = 1, mock_n: int | None = None, repeats: int = 1,
+          T: int = BackboneConfig.T) -> list:
     """Cost table over a grid of sampling configurations.
 
-    With mock_n set, block-forward counts come from the closed forms at that
-    model width and nothing is executed (wall_ms is 0). Otherwise each entry
-    actually runs, sequentially, and wall_ms is the best of `repeats` runs.
-    The speedup column is exact: baseline count / entry count.
+    With mock_n set, nothing runs: each entry's plan is built at that width
+    on a T-step schedule, its count is plan.block_cost, and wall_ms is 0.
+    Otherwise the same plan is sampled on the model, and wall_ms is the best
+    of `repeats` runs. The speedup column is exact: baseline count / count.
     """
-    rows = []
+    if mock_n is not None:
+        n = mock_n
+    elif model is None or ns is None:
+        raise ValueError("real bench runs need a model and a schedule")
+    else:
+        n, T = model.cfg.n_blocks, model.cfg.T
     counts, walls = [], []
     for entry in entries:
+        plan, cache_cfg = entry.plan(T, n), entry.cache_config(n)
         if mock_n is not None:
-            counts.append(_mock_cost(entry, mock_n))
+            counts.append(plan.block_cost(entry.kind, cache_cfg))
             walls.append(0.0)
             continue
-        if model is None or ns is None:
-            raise ValueError("real bench runs need a model and a schedule")
-        cache_cfg = None
-        if entry.kind == "ilf":
-            if entry.loop is None:
-                raise ValueError("ilf bench entry needs a loop")
-            plan = sched.make_plan(entry.steps, model.cfg.T, entry.tpost_mode,
-                                   entry.preset, entry.loop, model.cfg.n_blocks,
-                                   entry.orientation)
-        else:
-            plan = sched.make_plain_plan(entry.steps, model.cfg.T, model.cfg.n_blocks)
-            if entry.kind == "cached":
-                cache_cfg = CacheConfig.from_preset(
-                    entry.cache_location, entry.cache_count,
-                    model.cfg.n_blocks, entry.refresh_period)
-        best = None
-        count = None
-        for _ in range(max(repeats, 1)):
-            res = sched.sample(entry.kind, model, ns, plan, class_id, seed,
-                               fs=fs if entry.kind == "ilf" else None,
-                               cache_cfg=cache_cfg, n_samples=n_samples)
-            count = res.block_forwards
-            best = res.wall_ms if best is None else min(best, res.wall_ms)
-        counts.append(count)
-        walls.append(best)
+        runs = [sched.sample(entry.kind, model, ns, plan, class_id, seed,
+                             fs=fs if entry.kind == "ilf" else None,
+                             cache_cfg=cache_cfg, n_samples=n_samples)
+                for _ in range(max(repeats, 1))]
+        counts.append(runs[-1].block_forwards)
+        walls.append(min(r.wall_ms for r in runs))
 
-    ref = 0
-    for i, entry in enumerate(entries):
-        if entry.kind == "baseline":
-            ref = i
-            break
-    base_count = counts[ref]
-    for entry, count, wall in zip(entries, counts, walls):
-        rows.append(BenchRow(kind=entry.kind, config=entry.label(),
-                             block_forwards=count, wall_ms=wall,
-                             speedup=base_count / count, seed=seed))
-    return rows
+    ref = next((i for i, e in enumerate(entries) if e.kind == "baseline"), 0)
+    return [BenchRow(kind=entry.kind, config=entry.label(), block_forwards=count,
+                     wall_ms=wall, speedup=counts[ref] / count, seed=seed)
+            for entry, count, wall in zip(entries, counts, walls)]

@@ -8,9 +8,12 @@ All storage is float32 and all forward ops are deterministic.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
+
+_grad_enabled = True  # off inside no_grad(): ops then link no tape
 
 
 class Tensor:
@@ -33,10 +36,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item() on tensor of shape {self.data.shape}")
@@ -44,15 +43,6 @@ class Tensor:
 
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.data).all())
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def zero_grad(self):
-        self.grad = None
-
-    def backward(self):
-        backward(self)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -88,8 +78,22 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Within the block, op outputs record no tape, whatever their inputs.
+    The switch is process-wide: no other thread may record a tape meanwhile."""
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
+
 def _make(data, parents, vjp) -> Tensor:
     out = Tensor(data)
+    if not _grad_enabled:
+        return out
     for p in parents:
         if p.requires_grad:
             out.requires_grad = True

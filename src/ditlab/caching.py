@@ -114,10 +114,3 @@ def cached_forward(model: DiT, x, t: float, class_id, cfg: CacheConfig,
         return eps, count, FeatureTap(feats, model.cfg.tokens)
     return eps, count
 
-
-def cached_sample(model, ns, plan, cache_cfg: CacheConfig, class_id, seed: int,
-                  n_samples: int = 1, tap: bool = False):
-    from .schedule import sample
-
-    return sample("cached", model, ns, plan, class_id, seed,
-                  cache_cfg=cache_cfg, n_samples=n_samples, tap=tap)

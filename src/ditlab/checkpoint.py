@@ -82,31 +82,40 @@ def save_checkpoint(path: str, arrays: dict, cfg_hash: str, meta: dict | None = 
 
 
 def load_checkpoint(path: str, expect_config_hash: str | None = None) -> tuple:
-    """Returns (arrays dict, header dict)."""
+    """Returns (arrays dict, header dict). Any malformed or truncated file
+    raises ValueError."""
     with open(path, "rb") as f:
         buf = f.read()
     if buf[:4] != MAGIC:
         raise ValueError(f"{path}: not a checkpoint (bad magic)")
+    if len(buf) < 12:
+        raise ValueError(f"{path}: truncated checkpoint header")
     version, header_len = struct.unpack("<II", buf[4:12])
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    header = json.loads(buf[12:12 + header_len].decode())
-    if expect_config_hash is not None and header["config_hash"] != expect_config_hash:
+    try:
+        header = json.loads(buf[12:12 + header_len].decode())
+        cfg_hash = str(header["config_hash"])
+        if not isinstance(header.get("meta", {}), dict):
+            raise TypeError("meta is not an object")
+        directory = [(str(e["name"]), tuple(int(d) for d in e["shape"]), int(e["offset"]))
+                     for e in header["arrays"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed checkpoint header ({exc!r})") from None
+    if expect_config_hash is not None and cfg_hash != expect_config_hash:
         raise ValueError(
-            f"{path}: checkpoint config hash {header['config_hash'][:12]}... does not "
+            f"{path}: checkpoint config hash {cfg_hash[:12]}... does not "
             f"match expected {expect_config_hash[:12]}...")
     arrays = {}
     prev_end = 12 + header_len
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
+    for name, shape, start in directory:
         count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
         end = start + 4 * count
-        if start < prev_end or end > len(buf):
-            raise ValueError(f"{path}: corrupt directory entry for {entry['name']!r}")
+        if start < prev_end or end > len(buf) or count < 0:
+            raise ValueError(f"{path}: corrupt directory entry for {name!r}")
         if start % ALIGN:
-            raise ValueError(f"{path}: misaligned array {entry['name']!r}")
-        arrays[entry["name"]] = np.frombuffer(
+            raise ValueError(f"{path}: misaligned array {name!r}")
+        arrays[name] = np.frombuffer(
             buf, dtype="<f4", count=count, offset=start).reshape(shape).copy()
         prev_end = end
     return arrays, header

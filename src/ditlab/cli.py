@@ -68,8 +68,13 @@ def _load_feedback(cfg: RunConfig, model: DiT, path: str) -> FeedbackState:
     fs = make_feedback(model, cfg.ilf.loop_start, cfg.ilf.loop_end,
                        np.random.default_rng([cfg.seed, 1]))
     arrays, header = load_checkpoint(path)
+    meta = header.get("meta", {})
+    trained_loop = (meta.get("loop_start"), meta.get("loop_end"))
+    if trained_loop != (fs.loop_start, fs.loop_end):
+        raise ConfigError(f"{path}: feedback state was trained for loop {trained_loop}, "
+                          f"not the config's ilf loop {(fs.loop_start, fs.loop_end)}")
     load_into(fs.named_params(), arrays, prefix="feedback.")
-    recorded = header.get("meta", {}).get("backbone_hash")
+    recorded = meta.get("backbone_hash")
     actual = _backbone_hash_of(model)
     if recorded and recorded != actual:
         raise ConfigError(
@@ -237,7 +242,8 @@ def cmd_bench(config_path: str) -> dict:
     os.makedirs(cfg.out_dir, exist_ok=True)
     entries = _bench_entries(cfg)
     if cfg.bench.mock_n is not None:
-        rows = analysis.bench(entries, mock_n=cfg.bench.mock_n, seed=cfg.sample.seed)
+        rows = analysis.bench(entries, mock_n=cfg.bench.mock_n, seed=cfg.sample.seed,
+                              T=cfg.backbone.T)
     else:
         ns = make_schedule(cfg.backbone.T)
         model = _load_backbone(cfg, os.path.join(cfg.out_dir, "backbone.ckpt"))

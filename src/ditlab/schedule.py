@@ -7,12 +7,14 @@ the post-feedback condition time.
 
 from __future__ import annotations
 
+import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import no_grad
+from .caching import CacheStore, cached_forward
 from .dit import DiT
 from .feedback import FeedbackState, ilf_forward
 
@@ -41,11 +43,6 @@ class NoiseSchedule:
         if not (0.0 <= t <= self.T):
             raise ValueError(f"t={t} outside [0, {self.T}]")
         return float(np.interp(t, np.arange(self.T + 1), self.alpha_bar))
-
-    def ddim_sigma(self, t: float, t_next: float, eta: float) -> float:
-        ab_t = self.alpha_bar_at(t)
-        ab_n = self.alpha_bar_at(t_next)
-        return eta * np.sqrt((1 - ab_n) / (1 - ab_t)) * np.sqrt(1 - ab_t / ab_n)
 
 
 def make_schedule(T: int, beta_min: float = 1e-4, beta_max: float = 0.02) -> NoiseSchedule:
@@ -79,7 +76,7 @@ def spacing(S: int, T: int) -> list:
 
 
 def ddim_step(x_t: np.ndarray, eps_hat: np.ndarray, t: float, t_next: float,
-              ns: NoiseSchedule, eta: float = 0.0, rng=None) -> np.ndarray:
+              ns: NoiseSchedule) -> np.ndarray:
     """Deterministic DDIM update from t to t_next (eta=0)."""
     if not (t > t_next >= 0):
         raise ValueError(f"need t > t_next >= 0, got {t}, {t_next}")
@@ -88,15 +85,7 @@ def ddim_step(x_t: np.ndarray, eps_hat: np.ndarray, t: float, t_next: float,
     if ab_t <= 0.0:
         raise ValueError("alpha_bar(t) vanished")
     x0_pred = (x_t - float(np.sqrt(1.0 - ab_t)) * eps_hat) / float(np.sqrt(ab_t))
-    if eta == 0.0:
-        out = float(np.sqrt(ab_n)) * x0_pred + float(np.sqrt(1.0 - ab_n)) * eps_hat
-    else:
-        if rng is None:
-            raise ValueError("eta > 0 needs an rng")
-        sigma = ns.ddim_sigma(t, t_next, eta)
-        dir_coef = float(np.sqrt(max(1.0 - ab_n - sigma**2, 0.0)))
-        noise = rng.standard_normal(x_t.shape).astype(np.float32)
-        out = float(np.sqrt(ab_n)) * x0_pred + dir_coef * eps_hat + float(sigma) * noise
+    out = float(np.sqrt(ab_n)) * x0_pred + float(np.sqrt(1.0 - ab_n)) * eps_hat
     return out.astype(np.float32)
 
 
@@ -206,6 +195,20 @@ class InferencePlan:
     def t_post(self, k: int) -> float:
         return self._t_post_rule(self.steps[k], k)
 
+    def block_cost(self, kind: str, cache_cfg=None) -> int:
+        """Closed-form block forwards per image when sampling this plan as
+        `kind`; kind='cached' needs the CacheConfig."""
+        n, S = self.n_blocks, self.S
+        if kind == "baseline":
+            return baseline_block_cost(n, S)
+        if kind == "ilf":
+            return ilf_block_cost(n, S, self.m, self.feedback_steps)
+        if kind == "cached":
+            if cache_cfg is None:
+                raise ValueError("kind='cached' needs a CacheConfig")
+            return cached_block_cost(n, S, len(cache_cfg.blocks), cache_cfg.refresh_period)
+        raise ValueError(f"unknown kind {kind!r}")
+
     def t_post_at(self, t: float) -> float:
         """t_post for any t in (0, T]: the rule of the plan step k whose
         interval (t_{k+1}, t_k] holds t, at that step's gap. At a plan step
@@ -262,16 +265,8 @@ def make_plan(S: int, T: int, mode: str, preset: str, loop, n_blocks: int,
 
 def make_plain_plan(S: int, T: int, n_blocks: int) -> InferencePlan:
     """A feedback-free plan, as baseline and cached sampling use."""
-    return InferencePlan(
-        steps=tuple(spacing(S, T)),
-        feedback=tuple([False] * S),
-        tpost_mode="identity",
-        orientation="n_over_m",
-        loop_start=0,
-        loop_end=0,
-        n_blocks=int(n_blocks),
-        T=int(T),
-    )
+    plan = make_plan(S, T, "identity", "all", (0, 0), n_blocks)
+    return dataclasses.replace(plan, feedback=(False,) * S)
 
 
 # ---------------------------------------------------------------------------
@@ -338,84 +333,94 @@ class SampleResult:
 COST_COLUMNS = ("kind", "S", "n", "m", "feedback_steps", "block_forwards", "wall_ms", "seed")
 
 
-def sample(kind: str, model: DiT, ns: NoiseSchedule, plan: InferencePlan, class_id,
-           seed: int, fs: FeedbackState | None = None, cache_cfg=None,
-           n_samples: int = 1, tap: bool = False, guidance_scale: float = 1.0) -> SampleResult:
-    """Run one sampling configuration and account for every block forward."""
-    from .caching import CacheStore, cached_forward  # local import breaks the module cycle
-
+def _step_function(kind: str, model: DiT, plan: InferencePlan, fs, cache_cfg,
+                   tap: bool, guidance_scale: float):
+    """Check what `kind` needs and resolve it once, into a step function
+    (x, k, label, store) -> (eps, block forwards, FeatureTap or None)."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
+    if guidance_scale != 1.0 and kind != "baseline":
+        raise ValueError("guidance is only wired for baseline sampling")
+    if plan.n_blocks != model.cfg.n_blocks:
+        raise ValueError("plan was built for a different block count")
+    n = model.cfg.n_blocks
+
+    def plain(x, k, label, store):
+        if tap:
+            eps, step_tap = model.forward(x, plan.steps[k], label, tap=True)
+            return eps, n, step_tap
+        return model.forward(x, plan.steps[k], label), n, None
+
+    def guided(x, k, label, store):
+        return model.cfg_forward(x, plan.steps[k], label, guidance_scale), 2 * n, None
+
+    def feedback(x, k, label, store):
+        if not plan.feedback[k]:
+            return plain(x, k, label, store)
+        out = ilf_forward(model, fs, x, plan.steps[k], plan.t_post(k), label, tap=tap)
+        return out if tap else (*out, None)
+
+    def cached(x, k, label, store):
+        refresh = (k % cache_cfg.refresh_period == 0)
+        out = cached_forward(model, x, plan.steps[k], label, cache_cfg, store, refresh, tap=tap)
+        return out if tap else (*out, None)
+
+    if kind == "baseline":
+        return guided if guidance_scale != 1.0 else plain
     if kind == "ilf":
         if fs is None:
             raise ValueError("kind='ilf' needs a FeedbackState")
         if (fs.loop_start, fs.loop_end) != (plan.loop_start, plan.loop_end):
             raise ValueError("plan loop bounds disagree with the FeedbackState")
-    if kind == "cached":
-        if cache_cfg is None:
-            raise ValueError("kind='cached' needs a CacheConfig")
-        if any(plan.feedback):
-            raise ValueError("cached sampling takes a plan without feedback flags")
-    if guidance_scale != 1.0 and kind != "baseline":
-        raise ValueError("guidance is only wired for baseline sampling")
-    if plan.n_blocks != model.cfg.n_blocks:
-        raise ValueError("plan was built for a different block count")
+        return feedback
+    if cache_cfg is None:
+        raise ValueError("kind='cached' needs a CacheConfig")
+    if any(plan.feedback):
+        raise ValueError("cached sampling takes a plan without feedback flags")
+    return cached
 
+
+def sample(kind: str, model: DiT, ns: NoiseSchedule, plan: InferencePlan, class_id,
+           seed: int, fs: FeedbackState | None = None, cache_cfg=None,
+           n_samples: int = 1, tap: bool = False, guidance_scale: float = 1.0) -> SampleResult:
+    """Run one sampling configuration and account for every block forward.
+
+    No gradient tape is recorded, even if the model or feedback state is
+    still trainable. `block_forwards` is the counted total per image; it
+    equals plan.block_cost(kind, cache_cfg) (2x that for guided baseline).
+    """
+    step = _step_function(kind, model, plan, fs, cache_cfg, tap, guidance_scale)
     cfg = model.cfg
     shape = (cfg.channels, cfg.image_size, cfg.image_size)
-    images, labels = [], []
-    taps_all = [] if tap else None
+    images, labels, taps = [], [], []
     ddim_pairs = []
     per_image_blocks = None
-    refresh_steps = refresh_count(plan.S, cache_cfg.refresh_period) if kind == "cached" else 0
 
     t0 = time.perf_counter()
-    for j in range(n_samples):
-        rng = np.random.default_rng([seed, j])
-        label = class_id if class_id is not None else j % cfg.n_classes
-        x = rng.standard_normal(shape).astype(np.float32)
-        store = CacheStore() if kind == "cached" else None
-        count = 0
-        sample_taps = [] if tap else None
-        for k in range(plan.S):
-            t = plan.steps[k]
-            t_next = plan.steps[k + 1] if k + 1 < plan.S else 0.0
-            step_tap = None
-            if kind == "ilf" and plan.feedback[k]:
-                out = ilf_forward(model, fs, x, t, plan.t_post(k), label, tap=tap)
-                eps, c = out[0], out[1]
-                if tap:
-                    step_tap = out[2]
-            elif kind == "cached":
-                refresh = (k % cache_cfg.refresh_period == 0)
-                out = cached_forward(model, x, t, label, cache_cfg, store, refresh, tap=tap)
-                eps, c = out[0], out[1]
-                if tap:
-                    step_tap = out[2]
-            else:
-                if guidance_scale != 1.0:
-                    eps = model.cfg_forward(x, t, label, guidance_scale)
-                    c = 2 * cfg.n_blocks
-                elif tap:
-                    eps, step_tap = model.forward(x, t, label, tap=True)
-                    c = cfg.n_blocks
-                else:
-                    eps = model.forward(x, t, label)
-                    c = cfg.n_blocks
-            if j == 0:
-                ddim_pairs.append((t, t_next))
-            x = ddim_step(x, eps.data, t, t_next, ns)
-            count += c
-            if tap:
+    with no_grad():
+        for j in range(n_samples):
+            rng = np.random.default_rng([seed, j])
+            label = class_id if class_id is not None else j % cfg.n_classes
+            x = rng.standard_normal(shape).astype(np.float32)
+            store = CacheStore()  # read only by the cached step
+            count = 0
+            sample_taps = []
+            for k in range(plan.S):
+                t = plan.steps[k]
+                t_next = plan.steps[k + 1] if k + 1 < plan.S else 0.0
+                eps, c, step_tap = step(x, k, label, store)
+                if j == 0:
+                    ddim_pairs.append((t, t_next))
+                x = ddim_step(x, eps.data, t, t_next, ns)
+                count += c
                 sample_taps.append(step_tap)
-        if per_image_blocks is None:
-            per_image_blocks = count
-        elif per_image_blocks != count:
-            raise AssertionError("block-forward count varied across samples")
-        images.append(x)
-        labels.append(label)
-        if tap:
-            taps_all.append(sample_taps)
+            if per_image_blocks is None:
+                per_image_blocks = count
+            elif per_image_blocks != count:
+                raise AssertionError("block-forward count varied across samples")
+            images.append(x)
+            labels.append(label)
+            taps.append(sample_taps)
     wall_ms = (time.perf_counter() - t0) * 1000.0 / n_samples
 
     return SampleResult(
@@ -425,12 +430,13 @@ def sample(kind: str, model: DiT, ns: NoiseSchedule, plan: InferencePlan, class_
         block_forwards=per_image_blocks,
         wall_ms=wall_ms,
         feedback_steps=plan.feedback_steps if kind == "ilf" else 0,
-        refresh_steps=refresh_steps,
+        refresh_steps=(refresh_count(plan.S, cache_cfg.refresh_period)
+                       if kind == "cached" else 0),
         loop_size=(plan.m if kind == "ilf" else
                    (len(cache_cfg.blocks) if kind == "cached" else 0)),
         plan_S=plan.S,
         n_blocks=cfg.n_blocks,
         seed=seed,
         ddim_pairs=ddim_pairs,
-        taps=taps_all,
+        taps=taps if tap else None,
     )

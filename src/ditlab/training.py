@@ -113,6 +113,22 @@ def _mean_terms(terms):
     return total
 
 
+def _train_loop(params, dataset: Dataset, cfg, step_fn, on_checkpoint) -> list:
+    """The loop both trainers share: Adam over `params`, draws from rng
+    [seed, 17], batches from rng [seed, 31], and one step_fn(images, labels,
+    rng, opt) per iteration, whose tape is gone before the checkpoint callback."""
+    opt = Adam(params, lr=cfg.lr)
+    rng = np.random.default_rng([cfg.seed, 17])
+    stream = batches(dataset, cfg.batch_size, np.random.default_rng([cfg.seed, 31]))
+    curve = []
+    for step in range(cfg.iterations):
+        images, labels = next(stream)
+        curve.append(step_fn(images, labels, rng, opt))
+        if on_checkpoint and cfg.checkpoint_interval and (step + 1) % cfg.checkpoint_interval == 0:
+            on_checkpoint(step + 1)
+    return curve
+
+
 def train_feedback(model: DiT, fs: FeedbackState, ns: NoiseSchedule,
                    dataset: Dataset, cfg: TrainConfig, on_checkpoint=None,
                    plan: InferencePlan | None = None) -> list:
@@ -123,25 +139,17 @@ def train_feedback(model: DiT, fs: FeedbackState, ns: NoiseSchedule,
     "plan" training mode falls back to the default run config's plan
     (PlanConfig()) when it is None.
     """
-    if dataset.images.shape[0] == 0:
-        raise ValueError("empty dataset")
     loop = (fs.loop_start, fs.loop_end)
     if plan is None and cfg.tpost_mode_training == "plan":
         plan = PlanConfig().build(model.cfg.T, loop, model.cfg.n_blocks)
     if plan is not None and ((plan.loop_start, plan.loop_end) != loop
                              or plan.n_blocks != model.cfg.n_blocks):
         raise ValueError("plan loop bounds or block count disagree with the feedback state")
-    opt = Adam(fs.params(), lr=cfg.lr)
-    rng = np.random.default_rng([cfg.seed, 17])
-    batch_rng = np.random.default_rng([cfg.seed, 31])
-    curve = []
-    stream = batches(dataset, cfg.batch_size, batch_rng)
-    for step in range(cfg.iterations):
-        images, labels = next(stream)
-        curve.append(feedback_train_step(model, fs, ns, images, labels, cfg, rng, opt, plan))
-        if on_checkpoint and cfg.checkpoint_interval and (step + 1) % cfg.checkpoint_interval == 0:
-            on_checkpoint(step + 1)
-    return curve
+
+    def step(images, labels, rng, opt):
+        return feedback_train_step(model, fs, ns, images, labels, cfg, rng, opt, plan)
+
+    return _train_loop(fs.params(), dataset, cfg, step, on_checkpoint)
 
 
 @dataclass
@@ -159,34 +167,33 @@ class BackboneTrainConfig:
             raise ValueError("iterations must be >= 0")
 
 
+def backbone_train_step(model: DiT, ns: NoiseSchedule, images: np.ndarray,
+                        labels: np.ndarray, rng: np.random.Generator, opt: Adam) -> float:
+    """One batch of noise-prediction training of the backbone. Returns the
+    batch loss."""
+    T = model.cfg.T
+    terms = []
+    for x0, label in zip(images, labels):
+        t = int(rng.integers(1, T + 1))
+        eps = rng.standard_normal(x0.shape).astype(np.float32)
+        x_t = noise_sample(x0, t, eps, ns)
+        terms.append(mse(model.forward(x_t, t, int(label)), Tensor(eps)))
+    loss = _mean_terms(terms) * (1.0 / len(terms))
+    if not loss.is_finite():
+        raise FloatingPointError("non-finite backbone training loss")
+    opt.zero_grad()
+    backward(loss)
+    opt.step()
+    return loss.item()
+
+
 def train_backbone(model: DiT, ns: NoiseSchedule, dataset: Dataset,
                    cfg: BackboneTrainConfig, on_checkpoint=None) -> list:
-    """Standard noise-prediction training of the backbone itself."""
-    if dataset.images.shape[0] == 0:
-        raise ValueError("empty dataset")
+    """Standard noise-prediction training of the backbone itself; returns
+    the loss curve, one batch loss per iteration."""
     model.set_trainable(True)
-    opt = Adam(model.params(), lr=cfg.lr)
-    rng = np.random.default_rng([cfg.seed, 17])
-    batch_rng = np.random.default_rng([cfg.seed, 31])
-    T = model.cfg.T
-    curve = []
-    stream = batches(dataset, cfg.batch_size, batch_rng)
-    for step in range(cfg.iterations):
-        images, labels = next(stream)
-        terms = []
-        for x0, label in zip(images, labels):
-            t = int(rng.integers(1, T + 1))
-            eps = rng.standard_normal(x0.shape).astype(np.float32)
-            x_t = noise_sample(x0, t, eps, ns)
-            pred = model.forward(x_t, t, int(label))
-            terms.append(mse(pred, Tensor(eps)))
-        loss = _mean_terms(terms) * (1.0 / len(terms))
-        if not loss.is_finite():
-            raise FloatingPointError("non-finite backbone training loss")
-        opt.zero_grad()
-        backward(loss)
-        opt.step()
-        curve.append(loss.item())
-        if on_checkpoint and cfg.checkpoint_interval and (step + 1) % cfg.checkpoint_interval == 0:
-            on_checkpoint(step + 1)
-    return curve
+
+    def step(images, labels, rng, opt):
+        return backbone_train_step(model, ns, images, labels, rng, opt)
+
+    return _train_loop(model.params(), dataset, cfg, step, on_checkpoint)

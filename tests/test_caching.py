@@ -9,7 +9,6 @@ from ditlab.caching import (
     CacheStore,
     cached_forward,
     cached_run_block,
-    cached_sample,
     location_preset,
 )
 from ditlab.schedule import cached_block_cost, make_plain_plan, make_schedule, sample
@@ -117,7 +116,7 @@ def test_refresh_every_step_equals_baseline(model):
     plan = make_plain_plan(6, model.cfg.T, model.cfg.n_blocks)
     cache_cfg = CacheConfig.from_preset("inner", 2, model.cfg.n_blocks, refresh_period=1)
     base = sample("baseline", model, ns, plan, 1, seed=3, n_samples=2)
-    cached = cached_sample(model, ns, plan, cache_cfg, 1, seed=3, n_samples=2)
+    cached = sample("cached", model, ns, plan, 1, seed=3, cache_cfg=cache_cfg, n_samples=2)
     assert np.array_equal(base.images, cached.images)
     assert cached.block_forwards == base.block_forwards
 
@@ -125,12 +124,16 @@ def test_refresh_every_step_equals_baseline(model):
 def test_cached_sample_cost_closed_form(model):
     ns = make_schedule(model.cfg.T)
     n = model.cfg.n_blocks
-    for S, c, p in ((6, 2, 2), (5, 1, 3), (8, 3, 2)):
+    for S, c, p in ((6, 2, 2), (5, 1, 3), (8, 3, 2), (1, 1, 1), (7, 0, 2), (4, 3, 5)):
         plan = make_plain_plan(S, model.cfg.T, n)
-        cache_cfg = CacheConfig.from_preset("inner", c, n, refresh_period=p)
-        res = cached_sample(model, ns, plan, cache_cfg, 0, seed=4)
-        assert res.block_forwards == cached_block_cost(n, S, c, p)
-        assert res.cost_row()["m"] == c
+        for location in ("inner", "outer", "alternating"):
+            cache_cfg = CacheConfig.from_preset(location, c, n, refresh_period=p)
+            res = sample("cached", model, ns, plan, 0, seed=4, cache_cfg=cache_cfg)
+            assert res.block_forwards == cached_block_cost(n, S, c, p)
+            assert res.block_forwards == plan.block_cost("cached", cache_cfg)
+            assert res.cost_row()["m"] == c
+    with pytest.raises(ValueError):
+        plan.block_cost("cached")  # the closed form needs the cache config
 
 
 def test_cached_sample_rejects_feedback_plan(model):
@@ -140,7 +143,7 @@ def test_cached_sample_rejects_feedback_plan(model):
     plan = make_plan(5, model.cfg.T, "rescaled", "all", (0, 1), model.cfg.n_blocks)
     cache_cfg = CacheConfig.from_preset("inner", 2, model.cfg.n_blocks, 2)
     with pytest.raises(ValueError):
-        cached_sample(model, ns, plan, cache_cfg, 0, seed=1)
+        sample("cached", model, ns, plan, 0, seed=1, cache_cfg=cache_cfg)
 
 
 def test_exhaustive_cost_grid():

@@ -68,6 +68,25 @@ def test_truncated_payload_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_truncated_or_malformed_header_rejected(tmp_path):
+    import json
+    import struct
+
+    path = str(tmp_path / "h.ckpt")
+    save_checkpoint(path, {"a": np.arange(4, dtype=np.float32)}, cfg_hash="h")
+    blob = open(path, "rb").read()
+    for cut in (5, 11, 20):  # inside the fixed header, inside the JSON
+        open(path, "wb").write(blob[:cut])
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
+    for header in ({"config_hash": "h"}, {"config_hash": "h", "arrays": [{"name": "a"}]},
+                   {"config_hash": "h", "arrays": [], "meta": []}, ["arrays"]):
+        encoded = json.dumps(header).encode()
+        open(path, "wb").write(b"DLCP" + struct.pack("<II", 1, len(encoded)) + encoded)
+        with pytest.raises(ValueError, match="malformed"):
+            load_checkpoint(path)
+
+
 def test_load_into_validates_names_and_shapes(tmp_path):
     model = DiT(tiny_config(), np.random.default_rng(1))
     named = model.named_params()

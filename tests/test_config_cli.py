@@ -246,6 +246,29 @@ def test_sample_ilf_detects_backbone_swap(trained_dir, tmp_path):
         cli.cmd_sample(spliced_cfg, "ilf", str(tmp_path / "out2"))
 
 
+def test_sample_bad_checkpoint_or_loop_is_one_error_line(trained_dir, tmp_path, capsys):
+    import shutil
+
+    def one_error_line(cfg_path, kind):
+        code = cli.main(["sample", cfg_path, "--kind", kind, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:"), err
+
+    # a truncated backbone checkpoint
+    cut = str(tmp_path / "cut")
+    shutil.copytree(trained_dir["out"], cut)
+    blob = open(os.path.join(cut, "backbone.ckpt"), "rb").read()
+    open(os.path.join(cut, "backbone.ckpt"), "wb").write(blob[:5])
+    one_error_line(write_config(tmp_path, tiny_config_dict(cut), "cut.json"), "baseline")
+
+    # a feedback state trained for loop (1, 2) under a config with loop (0, 1):
+    # the same loop size, so the arrays alone would load
+    d = tiny_config_dict(trained_dir["out"])
+    d["ilf"]["loop_start"], d["ilf"]["loop_end"] = 0, 1
+    one_error_line(write_config(tmp_path, d, "loop.json"), "ilf")
+
+
 # ---------------------------------------------------------------------------
 # drift command
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ditlab.autodiff import Tensor
-from ditlab.optim import Adam, AdamState, adam_step
+from ditlab.optim import Adam
 
 
 def adam_oracle(w0, grad_fn, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -22,17 +22,19 @@ def adam_oracle(w0, grad_fn, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
 
 def test_zero_grad_leaves_params_unchanged():
     p = Tensor(np.array([1.0, -2.0, 3.0], np.float32), requires_grad=True)
-    state = AdamState.for_params([p], lr=0.1)
+    opt = Adam([p], lr=0.1)
     before = p.data.copy()
-    adam_step([p], [np.zeros(3, np.float32)], state)
+    p.grad = np.zeros(3, np.float32)
+    opt.step()
     assert np.array_equal(p.data, before)
 
 
 def test_first_step_moves_by_lr_sign():
     g = np.array([0.3, -0.001, 2.0], np.float32)
     p = Tensor(np.zeros(3, np.float32), requires_grad=True)
-    state = AdamState.for_params([p], lr=0.05)
-    adam_step([p], [g], state)
+    opt = Adam([p], lr=0.05)
+    p.grad = g
+    opt.step()
     # bias-corrected m/sqrt(v) is sign(g) on the first step
     assert np.allclose(p.data, -0.05 * np.sign(g), atol=1e-4)
 
@@ -43,10 +45,11 @@ def test_quadratic_descent_matches_scalar_oracle():
     assert all(abs(b) < abs(a) for a, b in zip(trail, trail[1:]))
 
     p = Tensor(np.array([1.0], np.float32), requires_grad=True)
-    state = AdamState.for_params([p], lr=lr)
+    opt = Adam([p], lr=lr)
     seen = [float(p.data[0])]
     for _ in range(steps):
-        adam_step([p], [(2 * p.data).astype(np.float32)], state)
+        p.grad = (2 * p.data).astype(np.float32)
+        opt.step()
         seen.append(float(p.data[0]))
     assert np.allclose(seen, trail, atol=1e-5)
     assert all(abs(b) < abs(a) for a, b in zip(seen, seen[1:]))
@@ -54,17 +57,19 @@ def test_quadratic_descent_matches_scalar_oracle():
 
 def test_shape_mismatch_rejected():
     p = Tensor(np.zeros(3, np.float32), requires_grad=True)
-    state = AdamState.for_params([p])
+    opt = Adam([p])
+    p.grad = np.zeros(4, np.float32)
     with pytest.raises(ValueError):
-        adam_step([p], [np.zeros(4, np.float32)], state)
+        opt.step()
 
 
 def test_step_count_overflow_guard():
     p = Tensor(np.zeros(1, np.float32), requires_grad=True)
-    state = AdamState.for_params([p])
-    state.step_count = 2**31 - 1
+    opt = Adam([p])
+    opt.step_count = 2**31 - 1
+    p.grad = np.ones(1, np.float32)
     with pytest.raises(OverflowError):
-        adam_step([p], [np.ones(1, np.float32)], state)
+        opt.step()
 
 
 def test_adam_wrapper_reads_tensor_grads():

@@ -302,6 +302,16 @@ def test_sample_deterministic_and_counts(sampler_setup):
     assert np.array_equal(a.images, b.images)
     n, m = model.cfg.n_blocks, fs.m
     assert a.block_forwards == ilf_block_cost(n, 5, m, plan.feedback_steps)
+    # the counted total equals the plan's closed form over presets and loops
+    for loop in ((0, 0), (1, 2), (0, 2), (2, 2)):
+        fs_loop = make_feedback(model, *loop, np.random.default_rng(34))
+        for S, preset in ((5, "skip_inner"), (6, "first_only"), (6, "last_only"),
+                          (7, "outer_only"), (2, "alternating"), (6, "alternating"),
+                          (1, "all"), (4, "all")):
+            plan = make_plan(S, 1000, "rescaled", preset, loop, n)
+            res = sample("ilf", model, ns, plan, 0, seed=5, fs=fs_loop)
+            assert res.block_forwards == plan.block_cost("ilf")
+            assert res.block_forwards == ilf_block_cost(n, S, fs_loop.m, plan.feedback_steps)
 
 
 def test_sample_baseline_cost_and_shape(sampler_setup):
@@ -311,6 +321,13 @@ def test_sample_baseline_cost_and_shape(sampler_setup):
     assert res.images.shape == (3, 1, 8, 8)
     assert res.block_forwards == baseline_block_cost(model.cfg.n_blocks, 6)
     assert res.cost_row()["block_forwards"] == res.block_forwards
+    n = model.cfg.n_blocks
+    for S in (1, 3, 6):
+        plan = make_plain_plan(S, 1000, n)
+        res = sample("baseline", model, ns, plan, 0, seed=9)
+        assert res.block_forwards == plan.block_cost("baseline") == n * S
+        guided = sample("baseline", model, ns, plan, 1, seed=9, guidance_scale=2.0)
+        assert guided.block_forwards == 2 * plan.block_cost("baseline") == 2 * n * S
 
 
 def test_sigma_rule_ddim_never_sees_tpost(sampler_setup):
@@ -344,3 +361,34 @@ def test_sample_rejects_unknown_kind(sampler_setup):
     plan = make_plain_plan(3, 1000, model.cfg.n_blocks)
     with pytest.raises(ValueError):
         sample("mystery", model, ns, plan, 0, seed=1)
+    with pytest.raises(ValueError):
+        plan.block_cost("mystery")
+
+
+def test_sample_records_no_tape_for_trainable_state(sampler_setup, monkeypatch):
+    """A still-trainable model and feedback state sample the same images as
+    frozen ones, and no op output links a tape node while sampling."""
+    import ditlab.autodiff as autodiff
+
+    model, fs, ns = sampler_setup
+    plan = make_plan(5, 1000, "rescaled", "all", (1, 2), model.cfg.n_blocks)
+    frozen = sample("ilf", model, ns, plan, None, seed=8, fs=fs, n_samples=2)
+
+    linked = []
+    make = autodiff._make
+
+    def counted_make(data, parents, vjp):
+        out = make(data, parents, vjp)
+        if out._parents:
+            linked.append(out)
+        return out
+
+    monkeypatch.setattr(autodiff, "_make", counted_make)
+    model.set_trainable(True)
+    fs.set_trainable(True)
+    trainable = sample("ilf", model, ns, plan, None, seed=8, fs=fs, n_samples=2)
+    assert np.array_equal(trainable.images, frozen.images)
+    assert linked == []
+    # outside sampling, a trainable model records its tape again
+    model.forward(np.zeros((1, 8, 8), np.float32), 500.0, 0)
+    assert linked

@@ -217,3 +217,30 @@ def test_distill_term_decreases_on_reference_run(trained_toy):
     start = np.mean(distill[:50])
     end = np.mean(distill[-50:])
     assert end <= 0.7 * start
+
+
+def test_no_tape_alive_at_checkpoint(setup):
+    """Both loops drop each iteration's gradient tape before the checkpoint
+    callback runs: no Tensor linked into a tape is alive there."""
+    import gc
+
+    from ditlab.autodiff import Tensor
+
+    def tape_nodes():
+        gc.collect()
+        return sum(1 for o in gc.get_objects() if isinstance(o, Tensor) and o._parents)
+
+    _, _, ns, ds = setup
+    model = DiT(tiny_config(image_size=8, n_classes=4), np.random.default_rng(87))
+    before = tape_nodes()
+    seen = []
+    train_backbone(model, ns, ds,
+                   BackboneTrainConfig(batch_size=4, iterations=2, seed=10,
+                                       checkpoint_interval=1),
+                   on_checkpoint=lambda step: seen.append(tape_nodes()))
+    model.set_trainable(False)
+    fs = make_feedback(model, 1, 2, np.random.default_rng(88))
+    train_feedback(model, fs, ns, ds,
+                   TrainConfig(iterations=2, batch_size=4, seed=10, checkpoint_interval=1),
+                   on_checkpoint=lambda step: seen.append(tape_nodes()))
+    assert seen == [before] * 4
