@@ -189,29 +189,33 @@ def toy_quality(samples: np.ndarray, sample_labels, reference: np.ndarray,
 
 @dataclass
 class BenchEntry:
+    """One sampling configuration: a kind, its plan and its cache."""
     kind: str
     steps: int
     preset: str = "all"
     tpost_mode: str = "rescaled"
     orientation: str = "n_over_m"
-    loop: tuple | None = None          # (b, e) for ilf
+    loop: tuple[int, int] | None = None  # (b, e) for ilf
     cache_location: str = "inner"
     cache_count: int = 0
     refresh_period: int = 2
 
-    def plan(self, T: int, n_blocks: int) -> sched.InferencePlan:
+    def build(self, T: int, n_blocks: int) -> tuple:
+        """(plan, cache config) for sampling this entry on n_blocks blocks;
+        the cache config is None unless kind='cached'."""
+        if self.kind not in sched.KINDS:
+            raise ValueError(f"unknown kind {self.kind!r}")
         if self.kind != "ilf":
-            return sched.make_plain_plan(self.steps, T, n_blocks)
-        if self.loop is None:
+            plan = sched.make_plain_plan(self.steps, T, n_blocks)
+        elif self.loop is None:
             raise ValueError("ilf bench entry needs a loop")
-        return sched.make_plan(self.steps, T, self.tpost_mode, self.preset, self.loop,
-                               n_blocks, self.orientation)
-
-    def cache_config(self, n_blocks: int) -> CacheConfig | None:
+        else:
+            plan = sched.make_plan(self.steps, T, self.tpost_mode, self.preset, self.loop,
+                                   n_blocks, self.orientation)
         if self.kind != "cached":
-            return None
-        return CacheConfig.from_preset(self.cache_location, self.cache_count, n_blocks,
-                                       self.refresh_period)
+            return plan, None
+        return plan, CacheConfig.from_preset(self.cache_location, self.cache_count, n_blocks,
+                                             self.refresh_period)
 
     def label(self) -> str:
         bits = [f"S={self.steps}"]
@@ -255,7 +259,7 @@ def bench(entries, model=None, ns=None, fs=None, class_id=0, seed: int = 0,
         n, T = model.cfg.n_blocks, model.cfg.T
     counts, walls = [], []
     for entry in entries:
-        plan, cache_cfg = entry.plan(T, n), entry.cache_config(n)
+        plan, cache_cfg = entry.build(T, n)
         if mock_n is not None:
             counts.append(plan.block_cost(entry.kind, cache_cfg))
             walls.append(0.0)

@@ -20,7 +20,7 @@ LOCATIONS = ("first", "last", "outer", "inner", "alternating")
 def location_preset(preset: str, c: int, n: int) -> tuple:
     """Pick c of n block indices by placement name."""
     if not (0 <= c <= n):
-        raise ValueError(f"need 0 <= c <= n, got c={c}, n={n}")
+        raise ValueError(f"cache count {c} outside [0, {n}]")
     if preset == "first":
         idx = range(c)
     elif preset == "last":
@@ -41,7 +41,7 @@ def location_preset(preset: str, c: int, n: int) -> tuple:
 @dataclass(frozen=True)
 class CacheConfig:
     blocks: tuple          # block indices whose branches get cached
-    refresh_period: int    # recompute when step_index % p == 0
+    refresh_period: int    # recompute on the steps where `refreshes` holds
 
     def __post_init__(self):
         if self.refresh_period < 1:
@@ -50,6 +50,10 @@ class CacheConfig:
             raise ValueError("duplicate cached block indices")
         if any(b < 0 for b in self.blocks):
             raise ValueError("negative block index")
+
+    def refreshes(self, k: int) -> bool:
+        """Whether plan step k recomputes the cached blocks (step 0 always does)."""
+        return k % self.refresh_period == 0
 
     @classmethod
     def from_preset(cls, location: str, count: int, n_blocks: int,

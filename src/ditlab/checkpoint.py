@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -70,15 +71,24 @@ def save_checkpoint(path: str, arrays: dict, cfg_hash: str, meta: dict | None = 
     else:
         raise RuntimeError("checkpoint header failed to stabilize")
 
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<II", FORMAT_VERSION, header_len))
-        f.write(encoded)
-        pos = len(MAGIC) + 8 + header_len
-        for entry, blob in zip(entries, blobs):
-            f.write(b"\x00" * (entry["offset"] - pos))
-            f.write(blob)
-            pos = entry["offset"] + len(blob)
+    # write beside `path` and rename, so an interrupted write never leaves
+    # a partial checkpoint at `path`
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<II", FORMAT_VERSION, header_len))
+            f.write(encoded)
+            pos = len(MAGIC) + 8 + header_len
+            for entry, blob in zip(entries, blobs):
+                f.write(b"\x00" * (entry["offset"] - pos))
+                f.write(blob)
+                pos = entry["offset"] + len(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str, expect_config_hash: str | None = None) -> tuple:

@@ -16,15 +16,14 @@ import sys
 import numpy as np
 
 from . import analysis
-from .analysis import BenchEntry, BENCH_COLUMNS
-from .caching import CacheConfig
+from .analysis import BENCH_COLUMNS
 from .checkpoint import config_hash, load_checkpoint, load_into, params_hash, save_checkpoint
 from .config import ConfigError, RunConfig, load_run_config
 from .data import Dataset, gen_shapes, load_idx
 from .dit import DiT
 from .feedback import FeedbackState, make_feedback
 from .pgm import write_pgm
-from .schedule import COST_COLUMNS, make_plain_plan, make_schedule, sample
+from .schedule import COST_COLUMNS, make_schedule, sample
 from .training import train_backbone, train_feedback
 
 
@@ -67,7 +66,7 @@ def _load_feedback(cfg: RunConfig, model: DiT, path: str) -> FeedbackState:
         raise ConfigError(f"missing checkpoint {path!r}; run `ditlab train` first")
     fs = make_feedback(model, cfg.ilf.loop_start, cfg.ilf.loop_end,
                        np.random.default_rng([cfg.seed, 1]))
-    arrays, header = load_checkpoint(path)
+    arrays, header = load_checkpoint(path, expect_config_hash=_backbone_cfg_hash(cfg))
     meta = header.get("meta", {})
     trained_loop = (meta.get("loop_start"), meta.get("loop_end"))
     if trained_loop != (fs.loop_start, fs.loop_end):
@@ -75,11 +74,13 @@ def _load_feedback(cfg: RunConfig, model: DiT, path: str) -> FeedbackState:
                           f"not the config's ilf loop {(fs.loop_start, fs.loop_end)}")
     load_into(fs.named_params(), arrays, prefix="feedback.")
     recorded = meta.get("backbone_hash")
+    if not recorded:
+        raise ConfigError(f"{path}: feedback checkpoint records no backbone hash")
     actual = _backbone_hash_of(model)
-    if recorded and recorded != actual:
+    if recorded != actual:
         raise ConfigError(
             "backbone parameters do not match the ones this feedback state was "
-            f"trained against (recorded {recorded[:12]}..., loaded {actual[:12]}...)")
+            f"trained against (recorded {str(recorded)[:12]}..., loaded {actual[:12]}...)")
     fs.set_trainable(False)
     return fs
 
@@ -141,7 +142,7 @@ def cmd_train(config_path: str) -> dict:
                        fs, cfg, backbone_hash)
 
     curve = train_feedback(model, fs, ns, dataset, cfg.ilf.train,
-                           on_checkpoint=save_feedback_at, plan=_plan_for(cfg, "ilf"))
+                           on_checkpoint=save_feedback_at, plan=cfg.sampling("ilf")[0])
     feedback_path = os.path.join(cfg.out_dir, "feedback.ckpt")
     _save_feedback(feedback_path, fs, cfg, backbone_hash)
     _write_csv(os.path.join(cfg.out_dir, "feedback_loss.csv"),
@@ -150,26 +151,15 @@ def cmd_train(config_path: str) -> dict:
     return {"backbone": backbone_path, "feedback": feedback_path, "out_dir": cfg.out_dir}
 
 
-def _plan_for(cfg: RunConfig, kind: str):
-    if kind == "ilf":
-        return cfg.plan.build(cfg.backbone.T, (cfg.ilf.loop_start, cfg.ilf.loop_end),
-                              cfg.backbone.n_blocks)
-    return make_plain_plan(cfg.plan.steps, cfg.backbone.T, cfg.backbone.n_blocks)
-
-
 def cmd_sample(config_path: str, kind: str, out_dir: str) -> dict:
     cfg = load_run_config(config_path)
     os.makedirs(out_dir, exist_ok=True)
     ns = make_schedule(cfg.backbone.T)
     model = _load_backbone(cfg, os.path.join(cfg.out_dir, "backbone.ckpt"))
     fs = None
-    cache_cfg = None
     if kind == "ilf":
         fs = _load_feedback(cfg, model, os.path.join(cfg.out_dir, "feedback.ckpt"))
-    elif kind == "cached":
-        cache_cfg = CacheConfig.from_preset(cfg.cache.location, cfg.cache.count,
-                                            cfg.backbone.n_blocks, cfg.cache.refresh_period)
-    plan = _plan_for(cfg, kind)
+    plan, cache_cfg = cfg.sampling(kind)
     result = sample(kind, model, ns, plan, cfg.sample.class_id, cfg.sample.seed,
                     fs=fs, cache_cfg=cache_cfg, n_samples=cfg.sample.n_samples,
                     guidance_scale=cfg.sample.guidance_scale)
@@ -187,9 +177,7 @@ def cmd_drift(config_path: str, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     ns = make_schedule(cfg.backbone.T)
     model = _load_backbone(cfg, os.path.join(cfg.out_dir, "backbone.ckpt"))
-    plan = _plan_for(cfg, "baseline")
-    cache_cfg = CacheConfig.from_preset(cfg.cache.location, cfg.cache.count,
-                                        cfg.backbone.n_blocks, cfg.cache.refresh_period)
+    plan, cache_cfg = cfg.sampling("cached")  # the plain plan, which baseline runs too
     class_id = cfg.sample.class_id if cfg.sample.class_id is not None else 0
     base = sample("baseline", model, ns, plan, class_id, cfg.sample.seed, tap=True)
     cached = sample("cached", model, ns, plan, class_id, cfg.sample.seed,
@@ -210,7 +198,7 @@ def cmd_drift(config_path: str, out_dir: str) -> dict:
         with open(os.path.join(out_dir, f"{name}.pgm"), "wb") as f:
             f.write(analysis.heatmap_pgm(matrix))
 
-    hits = [k for k in range(plan.S) if k % cfg.cache.refresh_period != 0]
+    hits = [k for k in range(plan.S) if not cache_cfg.refreshes(k)]
     report = analysis.compare_drift(base_taps, cached_taps,
                                     block_subset=list(cache_cfg.blocks),
                                     step_subset=hits or None)
@@ -221,26 +209,12 @@ def cmd_drift(config_path: str, out_dir: str) -> dict:
     return {"out_dir": out_dir, "ratio": report.ratio}
 
 
-def _bench_entries(cfg: RunConfig) -> list:
-    entries = []
-    for i, raw in enumerate(cfg.bench.entries):
-        if not isinstance(raw, dict):
-            raise ConfigError(f"bench.entries[{i}] must be an object")
-        known = {f.name for f in dataclasses.fields(BenchEntry)}
-        bad = set(raw) - known
-        if bad:
-            raise ConfigError(f"bench.entries[{i}]: unknown keys {sorted(bad)}")
-        entry = BenchEntry(**{**raw, "loop": tuple(raw["loop"]) if "loop" in raw else None})
-        entries.append(entry)
-    if not entries:
-        raise ConfigError("bench.entries is empty")
-    return entries
-
-
 def cmd_bench(config_path: str) -> dict:
     cfg = load_run_config(config_path)
+    entries = cfg.bench.entries
+    if not entries:
+        raise ConfigError("bench.entries is empty")
     os.makedirs(cfg.out_dir, exist_ok=True)
-    entries = _bench_entries(cfg)
     if cfg.bench.mock_n is not None:
         rows = analysis.bench(entries, mock_n=cfg.bench.mock_n, seed=cfg.sample.seed,
                               T=cfg.backbone.T)

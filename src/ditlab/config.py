@@ -1,18 +1,23 @@
 """JSON run configuration: the unit of reproducibility.
 
 Every random choice is driven by an explicit seed in the file; command-line
-flags only select the command and output paths. Validation errors name the
-offending key path; JSON syntax errors carry line and column.
+flags only select the command and output paths. A config is checked by
+building what the commands build from it: every section, the plans and the
+cache config of each sampling kind, and every bench entry. Errors name the
+offending key path or section; JSON syntax errors carry line and column.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import types
+import typing
 from dataclasses import dataclass, field
 
-from .caching import LOCATIONS
+from .analysis import BenchEntry
 from .dit import BackboneConfig
-from .schedule import ORIENTATIONS, PRESETS, TPOST_MODES, PlanConfig
+from .schedule import PlanConfig
 from .training import BackboneTrainConfig, TrainConfig
 
 
@@ -27,6 +32,14 @@ class DataConfig:
     n_per_class: int = 64
     idx_images: str | None = None
     idx_labels: str | None = None
+
+    def __post_init__(self):
+        if self.source not in ("procedural", "idx"):
+            raise ValueError("source must be 'procedural' or 'idx'")
+        if self.source == "idx" and not (self.idx_images and self.idx_labels):
+            raise ValueError("source='idx' needs idx_images and idx_labels")
+        if self.source == "procedural" and self.n_per_class < 1:
+            raise ValueError("n_per_class must be >= 1")
 
 
 @dataclass
@@ -50,13 +63,17 @@ class SampleConfig:
     seed: int = 4
     guidance_scale: float = 1.0
 
+    def __post_init__(self):
+        if self.guidance_scale < 1.0:
+            raise ValueError("guidance_scale must be >= 1")
+
 
 @dataclass
 class BenchConfig:
     mock_n: int | None = None
     repeats: int = 2
     n_samples: int = 1
-    entries: list = field(default_factory=list)
+    entries: list[BenchEntry] = field(default_factory=list)
 
 
 @dataclass
@@ -73,112 +90,87 @@ class RunConfig:
     sample: SampleConfig = field(default_factory=SampleConfig)
     bench: BenchConfig = field(default_factory=BenchConfig)
 
+    def sampling(self, kind: str) -> tuple:
+        """(plan, cache config) that sampling as `kind` runs, from the plan,
+        ilf and cache sections; the cache config is None unless kind='cached'."""
+        p, c = self.plan, self.cache
+        entry = BenchEntry(kind=kind, steps=p.steps, preset=p.preset,
+                           tpost_mode=p.tpost_mode, orientation=p.orientation,
+                           loop=(self.ilf.loop_start, self.ilf.loop_end),
+                           cache_location=c.location, cache_count=c.count,
+                           refresh_period=c.refresh_period)
+        return entry.build(self.backbone.T, self.backbone.n_blocks)
 
-def _section(raw: dict, key: str) -> dict:
-    val = raw.pop(key, {})
-    if not isinstance(val, dict):
-        raise ConfigError(f"config key {key!r} must be an object")
+
+def _typed(tp, val, path: str):
+    """`val` checked against the declared field type `tp`: int (not bool),
+    float (an int too), str, `X | None`, a tuple or list of typed items
+    (both from a JSON list), or a dataclass (from a JSON object)."""
+    if isinstance(tp, types.UnionType):  # `X | None`
+        if val is None:
+            return None
+        (tp,) = (a for a in tp.__args__ if a is not type(None))
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (tuple, list) and isinstance(val, list):
+        items = args if origin is tuple else args * len(val)
+        if len(items) != len(val):
+            raise ConfigError(f"config key {path!r} must hold {len(items)} values")
+        return origin(_typed(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(items, val)))
+    if dataclasses.is_dataclass(tp):
+        return _build(tp, val, path)
+    wanted = (int, float) if tp is float else (origin or tp)
+    if not isinstance(val, wanted) or isinstance(val, bool):
+        name = getattr(tp, "__name__", str(tp))
+        raise ConfigError(f"config key {path!r} must be {name}, not {type(val).__name__}")
     return val
 
 
-def _build(cls, raw: dict, path: str):
-    """Instantiate a dataclass from a dict, rejecting unknown keys."""
-    known = cls.__dataclass_fields__
+def _build(cls, raw, path: str):
+    """Instantiate a dataclass from a JSON object, rejecting unknown keys and
+    values of the wrong type by their key path."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config key {path!r} must be an object")
+    hints = typing.get_type_hints(cls)
     kwargs = {}
     for key, val in raw.items():
-        if key not in known:
-            raise ConfigError(f"unknown config key {path}.{key!r}")
-        kwargs[key] = val
+        if key not in hints:
+            raise ConfigError(f"unknown config key {path + '.' if path else ''}{key!r}")
+        kwargs[key] = _typed(hints[key], val, f"{path}.{key}" if path else key)
+    return _built(path, cls, **kwargs)
+
+
+def _built(section: str, build, *args, **kwargs):
+    """build(*args, **kwargs), whose ValueError or TypeError becomes one
+    ConfigError that names the config section."""
     try:
-        return cls(**kwargs)
+        return build(*args, **kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config section {path!r}: {exc}") from exc
+        raise ConfigError(f"invalid config section {section!r}: {exc}") from None
 
 
-def _expect(types, val, path):
-    if not isinstance(val, types) or isinstance(val, bool):
-        raise ConfigError(f"config key {path!r} has wrong type {type(val).__name__}")
-    return val
+def _check_builds(cfg: RunConfig):
+    """Build each plan and cache config the commands build from `cfg`:
+    those of every sampling kind, and every bench entry's at the width it
+    runs at (mock_n when set)."""
+    for kind, section in (("baseline", "plan"), ("ilf", "plan/ilf"), ("cached", "cache")):
+        _built(section, cfg.sampling, kind)
+    width = cfg.backbone.n_blocks if cfg.bench.mock_n is None else cfg.bench.mock_n
+    for i, entry in enumerate(cfg.bench.entries):
+        _built(f"bench.entries[{i}]", entry.build, cfg.backbone.T, width)
+    class_id = cfg.sample.class_id
+    if class_id is not None and not (0 <= class_id < cfg.backbone.n_classes):
+        raise ConfigError("sample.class_id out of range")
 
 
 def parse_run_config(raw: dict, source: str = "<config>") -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{source}: top level must be a JSON object")
-    raw = dict(raw)
-
-    backbone = _build(BackboneConfig, _section(raw, "backbone"), "backbone")
-    data = _build(DataConfig, _section(raw, "data"), "data")
-    backbone_train = _build(BackboneTrainConfig, _section(raw, "backbone_train"),
-                            "backbone_train")
-
-    ilf_raw = _section(raw, "ilf")
-    train = _build(TrainConfig, _section(ilf_raw, "train"), "ilf.train")
-    ilf = _build(IlfConfig, ilf_raw, "ilf")
-    ilf.train = train
-
-    plan = _build(PlanConfig, _section(raw, "plan"), "plan")
-    cache = _build(CacheSection, _section(raw, "cache"), "cache")
-    sample = _build(SampleConfig, _section(raw, "sample"), "sample")
-
-    bench_raw = _section(raw, "bench")
-    entries = bench_raw.pop("entries", [])
-    bench = _build(BenchConfig, bench_raw, "bench")
-    bench.entries = entries if isinstance(entries, list) else _bad("bench.entries")
-
-    cfg = RunConfig(
-        seed=_expect(int, raw.pop("seed", 0), "seed"),
-        out_dir=str(raw.pop("out_dir", "runs/toy")),
-        backbone=backbone,
-        backbone_checkpoint=raw.pop("backbone_checkpoint", None),
-        data=data,
-        backbone_train=backbone_train,
-        ilf=ilf,
-        plan=plan,
-        cache=cache,
-        sample=sample,
-        bench=bench,
-    )
-    if raw:
-        raise ConfigError(f"{source}: unknown top-level config keys {sorted(raw)}")
-    _validate(cfg, source)
+    try:
+        cfg = _build(RunConfig, raw, "")
+        _check_builds(cfg)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
     return cfg
-
-
-def _bad(path):
-    raise ConfigError(f"config key {path!r} must be a list")
-
-
-def _validate(cfg: RunConfig, source: str):
-    n = cfg.backbone.n_blocks
-    if not (0 <= cfg.ilf.loop_start <= cfg.ilf.loop_end < n):
-        raise ConfigError(
-            f"{source}: ilf loop ({cfg.ilf.loop_start}, {cfg.ilf.loop_end}) "
-            f"invalid for {n} blocks")
-    if cfg.plan.tpost_mode not in TPOST_MODES:
-        raise ConfigError(f"{source}: plan.tpost_mode must be one of {TPOST_MODES}")
-    if cfg.plan.preset not in PRESETS:
-        raise ConfigError(f"{source}: plan.preset must be one of {PRESETS}")
-    if cfg.plan.orientation not in ORIENTATIONS:
-        raise ConfigError(f"{source}: plan.orientation must be one of {ORIENTATIONS}")
-    if not (1 <= cfg.plan.steps <= cfg.backbone.T):
-        raise ConfigError(f"{source}: plan.steps must lie in [1, T]")
-    if cfg.cache.location not in LOCATIONS:
-        raise ConfigError(f"{source}: cache.location must be one of {LOCATIONS}")
-    if not (0 <= cfg.cache.count <= n):
-        raise ConfigError(f"{source}: cache.count must lie in [0, {n}]")
-    if cfg.cache.refresh_period < 1:
-        raise ConfigError(f"{source}: cache.refresh_period must be >= 1")
-    if cfg.data.source not in ("procedural", "idx"):
-        raise ConfigError(f"{source}: data.source must be 'procedural' or 'idx'")
-    if cfg.data.source == "idx" and not (cfg.data.idx_images and cfg.data.idx_labels):
-        raise ConfigError(f"{source}: data.source='idx' needs idx_images and idx_labels")
-    if cfg.data.source == "procedural" and cfg.data.n_per_class < 1:
-        raise ConfigError(f"{source}: data.n_per_class must be >= 1")
-    if cfg.sample.class_id is not None and not (
-            0 <= cfg.sample.class_id < cfg.backbone.n_classes):
-        raise ConfigError(f"{source}: sample.class_id out of range")
-    if cfg.sample.guidance_scale < 1.0:
-        raise ConfigError(f"{source}: sample.guidance_scale must be >= 1")
 
 
 def load_run_config(path: str) -> RunConfig:

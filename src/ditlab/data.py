@@ -7,6 +7,8 @@ in [-1, 1].
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -95,11 +97,21 @@ def gen_shapes(seed: int, n_per_class: int, n_classes: int = 8, size: int = 16) 
 # ---------------------------------------------------------------------------
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise ValueError(f"truncated IDX file while reading {what}")
-    return buf
+def _read_idx(path: str, magic: int, n_dims: int, what: str) -> tuple:
+    """(dims, payload) of one IDX file of uint8 items. The payload size the
+    header promises is checked against the file's size before it is read."""
+    with open(path, "rb") as f:
+        header = f.read(4 + 4 * n_dims)
+        if len(header) != 4 + 4 * n_dims:
+            raise ValueError(f"truncated IDX file while reading {what} header")
+        got, *dims = struct.unpack(f">{1 + n_dims}I", header)
+        if got != magic:
+            raise ValueError(f"bad {what} magic 0x{got:08x} in {path}")
+        size = math.prod(dims)
+        if os.fstat(f.fileno()).st_size - len(header) < size:
+            raise ValueError(f"truncated IDX file: {path} holds fewer than the "
+                             f"{size} {what} payload bytes its header promises")
+        return dims, f.read(size)
 
 
 def load_idx(images_path: str, labels_path: str, size: int | None = None) -> Dataset:
@@ -108,16 +120,8 @@ def load_idx(images_path: str, labels_path: str, size: int | None = None) -> Dat
     Bytes rescale to [-1, 1] via x / 127.5 - 1; images are center-cropped or
     zero-padded (background -1) to `size` when given.
     """
-    with open(images_path, "rb") as f:
-        magic, count, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, "image header"))
-        if magic != IDX_IMAGE_MAGIC:
-            raise ValueError(f"bad image magic 0x{magic:08x} in {images_path}")
-        raw = _read_exact(f, count * rows * cols, "image payload")
-    with open(labels_path, "rb") as f:
-        magic, label_count = struct.unpack(">II", _read_exact(f, 8, "label header"))
-        if magic != IDX_LABEL_MAGIC:
-            raise ValueError(f"bad label magic 0x{magic:08x} in {labels_path}")
-        label_raw = _read_exact(f, label_count, "label payload")
+    (count, rows, cols), raw = _read_idx(images_path, IDX_IMAGE_MAGIC, 3, "image")
+    (label_count,), label_raw = _read_idx(labels_path, IDX_LABEL_MAGIC, 1, "label")
     if count != label_count:
         raise ValueError(f"image count {count} != label count {label_count}")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import no_grad
-from .caching import CacheStore, cached_forward
+from .caching import CacheConfig, CacheStore, cached_forward
 from .dit import DiT
 from .feedback import FeedbackState, ilf_forward
 
@@ -173,7 +173,8 @@ class InferencePlan:
         if self.orientation not in ORIENTATIONS:
             raise ValueError(f"unknown orientation {self.orientation!r}")
         if not (0 <= self.loop_start <= self.loop_end < self.n_blocks):
-            raise ValueError("bad loop bounds")
+            raise ValueError(f"loop ({self.loop_start}, {self.loop_end}) invalid for "
+                             f"{self.n_blocks} blocks")
 
     @property
     def S(self) -> int:
@@ -243,10 +244,6 @@ class PlanConfig:
     preset: str = "skip_inner"
     orientation: str = "n_over_m"
 
-    def build(self, T: int, loop, n_blocks: int) -> InferencePlan:
-        return make_plan(self.steps, T, self.tpost_mode, self.preset, loop, n_blocks,
-                         self.orientation)
-
 
 def make_plan(S: int, T: int, mode: str, preset: str, loop, n_blocks: int,
               orientation: str = "n_over_m") -> InferencePlan:
@@ -283,7 +280,7 @@ def ilf_block_cost(n: int, S: int, m: int, feedback_steps: int) -> int:
 
 
 def refresh_count(S: int, p: int) -> int:
-    """Refresh steps under 'recompute when step_index % p == 0' phasing."""
+    """How many of S steps refresh under CacheConfig.refreshes: ceil(S / p)."""
     if p < 1:
         raise ValueError("refresh period must be >= 1")
     return -(-S // p)
@@ -305,11 +302,8 @@ class SampleResult:
     kind: str
     block_forwards: int         # per generated image
     wall_ms: float              # per generated image
-    feedback_steps: int
-    refresh_steps: int
-    loop_size: int
-    plan_S: int
-    n_blocks: int
+    plan: InferencePlan
+    cache_cfg: CacheConfig | None
     seed: int
     ddim_pairs: list            # (t, t_next) actually fed to the ddim update
     taps: list | None = None    # per sample: list of FeatureTap per step
@@ -317,12 +311,17 @@ class SampleResult:
     def cost_row(self) -> dict:
         # for kind=cached, m holds the cached-block count and the
         # feedback_steps column carries the refresh-step count
-        per_step = self.refresh_steps if self.kind == "cached" else self.feedback_steps
+        plan, cache_cfg = self.plan, self.cache_cfg
+        m = per_step = 0
+        if self.kind == "ilf":
+            m, per_step = plan.m, plan.feedback_steps
+        elif self.kind == "cached":
+            m, per_step = len(cache_cfg.blocks), refresh_count(plan.S, cache_cfg.refresh_period)
         return {
             "kind": self.kind,
-            "S": self.plan_S,
-            "n": self.n_blocks,
-            "m": self.loop_size,
+            "S": plan.S,
+            "n": plan.n_blocks,
+            "m": m,
             "feedback_steps": per_step,
             "block_forwards": self.block_forwards,
             "wall_ms": self.wall_ms,
@@ -361,8 +360,8 @@ def _step_function(kind: str, model: DiT, plan: InferencePlan, fs, cache_cfg,
         return out if tap else (*out, None)
 
     def cached(x, k, label, store):
-        refresh = (k % cache_cfg.refresh_period == 0)
-        out = cached_forward(model, x, plan.steps[k], label, cache_cfg, store, refresh, tap=tap)
+        out = cached_forward(model, x, plan.steps[k], label, cache_cfg, store,
+                             cache_cfg.refreshes(k), tap=tap)
         return out if tap else (*out, None)
 
     if kind == "baseline":
@@ -429,13 +428,8 @@ def sample(kind: str, model: DiT, ns: NoiseSchedule, plan: InferencePlan, class_
         kind=kind,
         block_forwards=per_image_blocks,
         wall_ms=wall_ms,
-        feedback_steps=plan.feedback_steps if kind == "ilf" else 0,
-        refresh_steps=(refresh_count(plan.S, cache_cfg.refresh_period)
-                       if kind == "cached" else 0),
-        loop_size=(plan.m if kind == "ilf" else
-                   (len(cache_cfg.blocks) if kind == "cached" else 0)),
-        plan_S=plan.S,
-        n_blocks=cfg.n_blocks,
+        plan=plan,
+        cache_cfg=cache_cfg,
         seed=seed,
         ddim_pairs=ddim_pairs,
         taps=taps if tap else None,

@@ -20,7 +20,7 @@ from .data import Dataset, batches
 from .dit import DiT
 from .feedback import FeedbackState, ilf_forward
 from .optim import Adam
-from .schedule import InferencePlan, NoiseSchedule, PlanConfig, ddim_step, noise_sample
+from .schedule import InferencePlan, NoiseSchedule, PlanConfig, ddim_step, make_plan, noise_sample
 
 TPOST_TRAINING_MODES = ("plan", "t")
 
@@ -141,7 +141,9 @@ def train_feedback(model: DiT, fs: FeedbackState, ns: NoiseSchedule,
     """
     loop = (fs.loop_start, fs.loop_end)
     if plan is None and cfg.tpost_mode_training == "plan":
-        plan = PlanConfig().build(model.cfg.T, loop, model.cfg.n_blocks)
+        d = PlanConfig()
+        plan = make_plan(d.steps, model.cfg.T, d.tpost_mode, d.preset, loop,
+                         model.cfg.n_blocks, d.orientation)
     if plan is not None and ((plan.loop_start, plan.loop_end) != loop
                              or plan.n_blocks != model.cfg.n_blocks):
         raise ValueError("plan loop bounds or block count disagree with the feedback state")

@@ -162,3 +162,15 @@ def test_exhaustive_cost_grid():
                     assert cost == manual
                     assert refresh_count(S, p) == sum(
                         1 for k in range(S) if k % p == 0)
+
+
+def test_refreshes_counts_refresh_count():
+    # the rule the cached sampler and the drift command read is the one the
+    # closed-form cost counts
+    from ditlab.schedule import refresh_count
+
+    for S in range(1, 13):
+        for p in range(1, 8):
+            cfg = CacheConfig(blocks=(0,), refresh_period=p)
+            assert sum(cfg.refreshes(k) for k in range(S)) == refresh_count(S, p)
+            assert cfg.refreshes(0)

@@ -125,3 +125,69 @@ def test_model_and_feedback_prefixes_disjoint():
     backbone_names = {f"backbone.{k}" for k in model.named_params()}
     feedback_names = {f"feedback.{k}" for k in fs.named_params()}
     assert not (backbone_names & feedback_names)
+
+
+def _flips_and_cuts(blob: bytes):
+    """Every truncation and every single-bit flip of blob."""
+    for n in range(len(blob)):
+        yield blob[:n]
+    for i in range(len(blob)):
+        for bit in range(8):
+            yield blob[:i] + bytes([blob[i] ^ (1 << bit)]) + blob[i + 1:]
+
+
+def test_truncated_or_bit_flipped_checkpoint_raises_only_value_error(tmp_path):
+    path = str(tmp_path / "c.ckpt")
+    arrays = {"backbone.w": np.arange(6, dtype=np.float32).reshape(2, 3),
+              "backbone.b": np.ones(2, np.float32)}
+    save_checkpoint(path, arrays, config_hash({"n": 1}), meta={"loop_start": 0})
+    blob = open(path, "rb").read()
+    bad = str(tmp_path / "bad.ckpt")
+    rejected = 0
+    for variant in _flips_and_cuts(blob):
+        with open(bad, "wb") as f:
+            f.write(variant)
+        try:
+            load_checkpoint(bad)
+        except ValueError:
+            rejected += 1
+    assert rejected >= len(blob)  # every truncation at least
+
+
+def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    import builtins
+    import os
+
+    from ditlab import checkpoint
+
+    path = str(tmp_path / "model.ckpt")
+    old = {"backbone.w": np.full((4, 4), 1.5, np.float32)}
+    save_checkpoint(path, old, "h1")
+
+    class FailingFile:
+        """A file whose third write raises, as a full disk would."""
+
+        def __init__(self, f):
+            self.f, self.writes = f, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 3:
+                raise OSError("no space left on device")
+            return self.f.write(data)
+
+    monkeypatch.setattr(checkpoint, "open",
+                        lambda *a, **k: FailingFile(builtins.open(*a, **k)), raising=False)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(path, {"backbone.w": np.zeros((4, 4), np.float32)}, "h2")
+    monkeypatch.undo()
+
+    arrays, header = load_checkpoint(path, expect_config_hash="h1")
+    assert np.array_equal(arrays["backbone.w"], old["backbone.w"])
+    assert os.listdir(tmp_path) == ["model.ckpt"]

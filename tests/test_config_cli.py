@@ -109,6 +109,74 @@ def test_config_semantic_validation(tmp_path):
         parse_run_config(d)
 
 
+def _one_error_line_and_no_output(capsys, tmp_path, d, commands=("train", "bench"),
+                                  says=""):
+    out_dir = tmp_path / "never_written"
+    d["out_dir"] = str(out_dir)
+    path = write_config(tmp_path, d, "bad.json")
+    for command in commands:
+        code = cli.main([command, path])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert says in err[0], err
+        assert not out_dir.exists()
+
+
+def test_config_values_are_type_checked(tmp_path, capsys):
+    for section, key, value in (("plan", "steps", "8"), ("cache", "count", "1"),
+                                ("ilf.train", "lr", "x")):
+        d = tiny_config_dict(str(tmp_path))
+        owner = d
+        for part in section.split("."):
+            owner = owner[part]
+        owner[key] = value
+        _one_error_line_and_no_output(capsys, tmp_path, d, commands=("train",),
+                                      says=f"{section}.{key}")
+    for bad in ({"seed": True}, {"out_dir": 5}, {"sample": {"guidance_scale": "2"}},
+                {"backbone": {"n_blocks": 3.0}}):
+        d = {**tiny_config_dict(str(tmp_path)), **bad}
+        with pytest.raises(ConfigError, match="must be"):
+            parse_run_config(d)
+    d = tiny_config_dict(str(tmp_path))
+    d["ilf"]["train"]["lr"] = 1  # an int is a float
+    d["sample"]["class_id"] = 2
+    d["backbone_checkpoint"] = None
+    assert parse_run_config(d).ilf.train.lr == 1
+
+
+def test_config_plans_and_caches_are_built_at_load(tmp_path, capsys):
+    # the first two used to pass load and fail only after the whole backbone
+    # had trained; the bench entries passed load and failed in `ditlab bench`,
+    # some with a TypeError traceback
+    cases = [({"plan": {"steps": 4, "preset": "skip_inner"}}, "needs S >= 5"),
+             ({"plan": {"steps": 1, "preset": "alternating"}}, "needs S >= 2"),
+             ({"bench": {"mock_n": 28, "entries": [{"kind": "ilf", "steps": 10, "loop": 5}]}},
+              "bench.entries[0].loop"),
+             ({"bench": {"mock_n": 28, "entries": [{"steps": 10}]}}, "bench.entries[0]"),
+             ({"bench": {"mock_n": 28, "entries": [{"kind": "baseline", "steps": 5},
+                                                   {"kind": "ilf", "steps": 4, "loop": [1, 2],
+                                                    "preset": "last_only"}]}},
+              "bench.entries[1]"),
+             ({"bench": {"mock_n": 28, "entries": [{"kind": "baseline", "steps": 5,
+                                                    "cache_cout": 2}]}},
+              "bench.entries[0].'cache_cout'"),
+             ({"cache": {"refresh_period": 0}}, "cache")]
+    for override, says in cases:
+        d = tiny_config_dict(str(tmp_path))
+        for section, values in override.items():
+            d[section].update(values)
+        _one_error_line_and_no_output(capsys, tmp_path, d, says=says)
+
+    # bench entries are built at mock_n width when it is set, else at the
+    # backbone's: the loop (8, 19) fits 28 blocks, not the backbone's 3
+    d = tiny_config_dict(str(tmp_path))
+    assert parse_run_config(d).bench.entries[1].loop == (8, 19)
+    d["bench"]["mock_n"] = None
+    with pytest.raises(ConfigError, match=r"bench.entries\[1\]"):
+        parse_run_config(d)
+
+
 # ---------------------------------------------------------------------------
 # train command
 # ---------------------------------------------------------------------------
@@ -267,6 +335,29 @@ def test_sample_bad_checkpoint_or_loop_is_one_error_line(trained_dir, tmp_path, 
     d = tiny_config_dict(trained_dir["out"])
     d["ilf"]["loop_start"], d["ilf"]["loop_end"] = 0, 1
     one_error_line(write_config(tmp_path, d, "loop.json"), "ilf")
+
+
+def test_sample_ilf_rejects_foreign_or_unhashed_feedback(trained_dir, tmp_path, capsys):
+    import shutil
+
+    from ditlab.checkpoint import load_checkpoint, save_checkpoint
+
+    src = os.path.join(trained_dir["out"], "feedback.ckpt")
+    arrays, header = load_checkpoint(src)
+    meta = header["meta"]
+    no_hash = {k: v for k, v in meta.items() if k != "backbone_hash"}
+    for name, cfg_hash, meta_out, says in (
+            ("foreign", "0" * 64, meta, "config hash"),
+            ("unhashed", header["config_hash"], no_hash, "no backbone hash")):
+        run = str(tmp_path / name)
+        shutil.copytree(trained_dir["out"], run)
+        save_checkpoint(os.path.join(run, "feedback.ckpt"), arrays, cfg_hash, meta=meta_out)
+        path = write_config(tmp_path, tiny_config_dict(run), f"{name}.json")
+        with pytest.raises(ValueError, match=says):
+            cli.cmd_sample(path, "ilf", str(tmp_path / f"{name}_out"))
+        code = cli.main(["sample", path, "--kind", "ilf", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1 and len(err) == 1 and err[0].startswith("error:"), err
 
 
 # ---------------------------------------------------------------------------

@@ -175,3 +175,29 @@ def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset(images=np.zeros((1, 1, 4, 4), np.float32),
                 labels=np.array([5]), n_classes=2, source="procedural")
+
+
+def test_idx_truncations_and_bit_flips_raise_only_value_error(tmp_path):
+    # a flipped bit in a header count must not make the loader ask for
+    # gigabytes (MemoryError) or fail in any other way but ValueError
+    rng = np.random.default_rng(9)
+    imgs_u8 = rng.integers(0, 256, size=(5, 4, 4)).astype(np.uint8)
+    labels = np.array([0, 1, 2, 1, 0], np.uint8)
+    ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
+    write_idx(imgs_u8, labels, ip, lp)
+    good = {ip: open(ip, "rb").read(), lp: open(lp, "rb").read()}
+    loads = 0
+    for path, blob in good.items():
+        variants = [blob[:n] for n in range(len(blob))]
+        variants += [blob[:i] + bytes([blob[i] ^ (1 << bit)]) + blob[i + 1:]
+                     for i in range(len(blob)) for bit in range(8)]
+        for variant in variants:
+            open(path, "wb").write(variant)
+            try:
+                load_idx(ip, lp)
+                loads += 1
+            except ValueError:
+                pass
+        open(path, "wb").write(blob)
+    # flips inside the payloads still load; the sweep did reach the loader
+    assert 0 < loads < sum(9 * len(b) for b in good.values())
