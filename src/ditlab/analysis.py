@@ -241,7 +241,7 @@ class BenchRow:
 BENCH_COLUMNS = ("kind", "config", "block_forwards", "wall_ms", "speedup", "seed")
 
 
-def bench(entries, model=None, ns=None, fs=None, class_id=0, seed: int = 0,
+def bench(entries, model=None, ns=None, fs=None, class_id=None, seed: int = 0,
           n_samples: int = 1, mock_n: int | None = None, repeats: int = 1,
           T: int = BackboneConfig.T) -> list:
     """Cost table over a grid of sampling configurations.
@@ -267,7 +267,7 @@ def bench(entries, model=None, ns=None, fs=None, class_id=0, seed: int = 0,
         runs = [sched.sample(entry.kind, model, ns, plan, class_id, seed,
                              fs=fs if entry.kind == "ilf" else None,
                              cache_cfg=cache_cfg, n_samples=n_samples)
-                for _ in range(max(repeats, 1))]
+                for _ in range(repeats)]
         counts.append(runs[-1].block_forwards)
         walls.append(min(r.wall_ms for r in runs))
 

@@ -14,8 +14,6 @@ import numpy as np
 from .autodiff import Tensor
 from .dit import DiT, FeatureTap
 
-LOCATIONS = ("first", "last", "outer", "inner", "alternating")
-
 
 def location_preset(preset: str, c: int, n: int) -> tuple:
     """Pick c of n block indices by placement name."""

@@ -23,7 +23,7 @@ from .data import Dataset, gen_shapes, load_idx
 from .dit import DiT
 from .feedback import FeedbackState, make_feedback
 from .pgm import write_pgm
-from .schedule import COST_COLUMNS, make_schedule, sample
+from .schedule import COST_COLUMNS, KINDS, make_schedule, sample
 from .training import train_backbone, train_feedback
 
 
@@ -161,8 +161,7 @@ def cmd_sample(config_path: str, kind: str, out_dir: str) -> dict:
         fs = _load_feedback(cfg, model, os.path.join(cfg.out_dir, "feedback.ckpt"))
     plan, cache_cfg = cfg.sampling(kind)
     result = sample(kind, model, ns, plan, cfg.sample.class_id, cfg.sample.seed,
-                    fs=fs, cache_cfg=cache_cfg, n_samples=cfg.sample.n_samples,
-                    guidance_scale=cfg.sample.guidance_scale)
+                    fs=fs, cache_cfg=cache_cfg, n_samples=cfg.sample.n_samples)
     for i, (img, label) in enumerate(zip(result.images, result.labels)):
         write_pgm(os.path.join(out_dir, f"sample_{i:03d}_class{label}.pgm"), img)
     row = result.cost_row()
@@ -178,9 +177,8 @@ def cmd_drift(config_path: str, out_dir: str) -> dict:
     ns = make_schedule(cfg.backbone.T)
     model = _load_backbone(cfg, os.path.join(cfg.out_dir, "backbone.ckpt"))
     plan, cache_cfg = cfg.sampling("cached")  # the plain plan, which baseline runs too
-    class_id = cfg.sample.class_id if cfg.sample.class_id is not None else 0
-    base = sample("baseline", model, ns, plan, class_id, cfg.sample.seed, tap=True)
-    cached = sample("cached", model, ns, plan, class_id, cfg.sample.seed,
+    base = sample("baseline", model, ns, plan, cfg.sample.class_id, cfg.sample.seed, tap=True)
+    cached = sample("cached", model, ns, plan, cfg.sample.class_id, cfg.sample.seed,
                     cache_cfg=cache_cfg, tap=True)
     base_taps, cached_taps = base.taps[0], cached.taps[0]
 
@@ -225,7 +223,7 @@ def cmd_bench(config_path: str) -> dict:
         if any(e.kind == "ilf" for e in entries):
             fs = _load_feedback(cfg, model, os.path.join(cfg.out_dir, "feedback.ckpt"))
         rows = analysis.bench(entries, model=model, ns=ns, fs=fs,
-                              class_id=cfg.sample.class_id or 0, seed=cfg.sample.seed,
+                              class_id=cfg.sample.class_id, seed=cfg.sample.seed,
                               n_samples=cfg.bench.n_samples, repeats=cfg.bench.repeats)
     path = os.path.join(cfg.out_dir, "bench.csv")
     _write_csv(path, BENCH_COLUMNS,
@@ -245,7 +243,7 @@ def main(argv=None) -> int:
 
     p_sample = sub.add_parser("sample", help="generate images and a cost report")
     p_sample.add_argument("config")
-    p_sample.add_argument("--kind", choices=("baseline", "ilf", "cached"), required=True)
+    p_sample.add_argument("--kind", choices=KINDS, required=True)
     p_sample.add_argument("--out", required=True)
 
     p_drift = sub.add_parser("drift", help="paired feature-drift matrices")

@@ -61,11 +61,10 @@ class SampleConfig:
     n_samples: int = 16
     class_id: int | None = None
     seed: int = 4
-    guidance_scale: float = 1.0
 
     def __post_init__(self):
-        if self.guidance_scale < 1.0:
-            raise ValueError("guidance_scale must be >= 1")
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be >= 1")
 
 
 @dataclass
@@ -74,6 +73,10 @@ class BenchConfig:
     repeats: int = 2
     n_samples: int = 1
     entries: list[BenchEntry] = field(default_factory=list)
+
+    def __post_init__(self):
+        if self.n_samples < 1 or self.repeats < 1:
+            raise ValueError("n_samples and repeats must be >= 1")
 
 
 @dataclass

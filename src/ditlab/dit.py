@@ -44,6 +44,8 @@ class BackboneConfig:
     mlp_ratio: int = 4
 
     def __post_init__(self):
+        if self.patch_size < 1 or self.n_heads < 1:
+            raise ValueError("patch_size and n_heads must be >= 1")
         if self.image_size % self.patch_size != 0:
             raise ValueError("image_size must be divisible by patch_size")
         if self.hidden_dim % self.n_heads != 0:
@@ -156,7 +158,9 @@ class DiTBlock:
 class ConditionEmbedding:
     """Sinusoidal time features through a 2-layer MLP, plus a class table.
 
-    Accepts non-integer timesteps; the last table row is the null class.
+    Accepts non-integer timesteps. The class table's last row is never read.
+    It stays because every later weight is drawn from the same init RNG
+    stream: dropping it would change all of them and void saved checkpoints.
     """
 
     def __init__(self, dim: int, n_classes: int, rng: np.random.Generator):
@@ -166,6 +170,7 @@ class ConditionEmbedding:
         self.t_b1 = _zeros(dim)
         self.t_w2 = _param(_xavier(rng, dim, dim))
         self.t_b2 = _zeros(dim)
+        # n_classes + 1 rows: the unread last row keeps the init RNG stream
         self.table = _param(rng.normal(0.0, 0.02, size=(n_classes + 1, dim)).astype(np.float32))
 
     def named_params(self, prefix: str = "") -> dict:
@@ -182,11 +187,9 @@ class ConditionEmbedding:
         feats[1::2] = np.cos(args)
         return feats
 
-    def __call__(self, t: float, class_id) -> Tensor:
-        if class_id is None:
-            class_id = self.n_classes
-        if not (0 <= class_id <= self.n_classes):
-            raise ValueError(f"class_id {class_id} out of range [0, {self.n_classes}]")
+    def __call__(self, t: float, class_id: int) -> Tensor:
+        if not (0 <= class_id < self.n_classes):
+            raise ValueError(f"class_id {class_id} out of range [0, {self.n_classes})")
         feats = Tensor(self.sinusoid(t))
         t_emb = matmul(silu(matmul(feats, self.t_w1) + self.t_b1), self.t_w2) + self.t_b2
         return t_emb + take_row(self.table, int(class_id))
@@ -267,7 +270,7 @@ class DiT:
         x = reshape(tokens, (g, g, c.channels, p, p))
         return reshape(transpose(x, (2, 0, 3, 1, 4)), (c.channels, c.image_size, c.image_size))
 
-    def embed_condition(self, t: float, class_id=None) -> Tensor:
+    def embed_condition(self, t: float, class_id: int) -> Tensor:
         if not (0 <= float(t) <= self.cfg.T):
             raise ValueError(f"t={t} outside [0, {self.cfg.T}]")
         return self.cond(float(t), class_id)
@@ -286,7 +289,7 @@ class DiT:
 
     # -- full passes ------------------------------------------------------
 
-    def forward(self, x, t: float, class_id=None, tap: bool = False):
+    def forward(self, x, t: float, class_id: int, tap: bool = False):
         """Predict the noise component of x at timestep t.
 
         With tap=True also returns a FeatureTap of all block outputs.
@@ -302,15 +305,3 @@ class DiT:
         if tap:
             return eps, FeatureTap(feats, self.cfg.tokens)
         return eps
-
-    def cfg_forward(self, x, t: float, class_id, scale: float = 1.0) -> Tensor:
-        """Classifier-free guidance combination of class and null predictions."""
-        if scale < 1.0:
-            raise ValueError("guidance scale must be >= 1")
-        if class_id is None:
-            return self.forward(x, t, None)
-        if scale == 1.0:
-            return self.forward(x, t, class_id)
-        eps_c = self.forward(x, t, class_id)
-        eps_n = self.forward(x, t, None)
-        return eps_n + (eps_c - eps_n) * float(scale)

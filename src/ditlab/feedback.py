@@ -63,7 +63,7 @@ def make_feedback(model: DiT, loop_start: int, loop_end: int,
 
 
 def ilf_forward(model: DiT, fs: FeedbackState, x, t: float, t_post: float,
-                class_id=None, tap: bool = False):
+                class_id: int, tap: bool = False):
     """Feedback-augmented forward pass.
 
     Blocks 0..e run under cond(t); the feedback block turns the loop-end

@@ -20,7 +20,6 @@ from .feedback import FeedbackState, ilf_forward
 
 TPOST_MODES = ("uniform", "rescaled", "annealed", "identity")
 ORIENTATIONS = ("n_over_m", "m_over_n")
-PRESETS = ("all", "skip_inner", "first_only", "last_only", "outer_only", "alternating")
 KINDS = ("baseline", "ilf", "cached")
 
 ANNEAL_FLOOR = 10.0
@@ -332,14 +331,11 @@ class SampleResult:
 COST_COLUMNS = ("kind", "S", "n", "m", "feedback_steps", "block_forwards", "wall_ms", "seed")
 
 
-def _step_function(kind: str, model: DiT, plan: InferencePlan, fs, cache_cfg,
-                   tap: bool, guidance_scale: float):
+def _step_function(kind: str, model: DiT, plan: InferencePlan, fs, cache_cfg, tap: bool):
     """Check what `kind` needs and resolve it once, into a step function
     (x, k, label, store) -> (eps, block forwards, FeatureTap or None)."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    if guidance_scale != 1.0 and kind != "baseline":
-        raise ValueError("guidance is only wired for baseline sampling")
     if plan.n_blocks != model.cfg.n_blocks:
         raise ValueError("plan was built for a different block count")
     n = model.cfg.n_blocks
@@ -349,9 +345,6 @@ def _step_function(kind: str, model: DiT, plan: InferencePlan, fs, cache_cfg,
             eps, step_tap = model.forward(x, plan.steps[k], label, tap=True)
             return eps, n, step_tap
         return model.forward(x, plan.steps[k], label), n, None
-
-    def guided(x, k, label, store):
-        return model.cfg_forward(x, plan.steps[k], label, guidance_scale), 2 * n, None
 
     def feedback(x, k, label, store):
         if not plan.feedback[k]:
@@ -365,7 +358,7 @@ def _step_function(kind: str, model: DiT, plan: InferencePlan, fs, cache_cfg,
         return out if tap else (*out, None)
 
     if kind == "baseline":
-        return guided if guidance_scale != 1.0 else plain
+        return plain
     if kind == "ilf":
         if fs is None:
             raise ValueError("kind='ilf' needs a FeedbackState")
@@ -381,14 +374,15 @@ def _step_function(kind: str, model: DiT, plan: InferencePlan, fs, cache_cfg,
 
 def sample(kind: str, model: DiT, ns: NoiseSchedule, plan: InferencePlan, class_id,
            seed: int, fs: FeedbackState | None = None, cache_cfg=None,
-           n_samples: int = 1, tap: bool = False, guidance_scale: float = 1.0) -> SampleResult:
+           n_samples: int = 1, tap: bool = False) -> SampleResult:
     """Run one sampling configuration and account for every block forward.
 
     No gradient tape is recorded, even if the model or feedback state is
     still trainable. `block_forwards` is the counted total per image; it
-    equals plan.block_cost(kind, cache_cfg) (2x that for guided baseline).
+    equals plan.block_cost(kind, cache_cfg). class_id=None gives image j
+    the class j % n_classes.
     """
-    step = _step_function(kind, model, plan, fs, cache_cfg, tap, guidance_scale)
+    step = _step_function(kind, model, plan, fs, cache_cfg, tap)
     cfg = model.cfg
     shape = (cfg.channels, cfg.image_size, cfg.image_size)
     images, labels, taps = [], [], []

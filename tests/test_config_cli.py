@@ -133,7 +133,7 @@ def test_config_values_are_type_checked(tmp_path, capsys):
         owner[key] = value
         _one_error_line_and_no_output(capsys, tmp_path, d, commands=("train",),
                                       says=f"{section}.{key}")
-    for bad in ({"seed": True}, {"out_dir": 5}, {"sample": {"guidance_scale": "2"}},
+    for bad in ({"seed": True}, {"out_dir": 5}, {"backbone_train": {"lr": "2"}},
                 {"backbone": {"n_blocks": 3.0}}):
         d = {**tiny_config_dict(str(tmp_path)), **bad}
         with pytest.raises(ConfigError, match="must be"):
@@ -175,6 +175,28 @@ def test_config_plans_and_caches_are_built_at_load(tmp_path, capsys):
     d["bench"]["mock_n"] = None
     with pytest.raises(ConfigError, match=r"bench.entries\[1\]"):
         parse_run_config(d)
+
+
+def test_config_zero_divisors_and_counts_rejected_at_load(tmp_path, capsys):
+    # each used to pass load, or end in a ZeroDivisionError traceback
+    for key in ("patch_size", "n_heads"):
+        d = tiny_config_dict(str(tmp_path))
+        d["backbone"][key] = 0
+        _one_error_line_and_no_output(capsys, tmp_path, d, says="backbone")
+    for section, key, value in (("sample", "n_samples", 0), ("bench", "n_samples", 0),
+                                ("bench", "repeats", 0), ("bench", "repeats", -3)):
+        d = tiny_config_dict(str(tmp_path))
+        d[section][key] = value
+        with pytest.raises(ConfigError, match=f"section '{section}'.*{key}"):
+            parse_run_config(d)
+
+
+def test_shipped_configs_load():
+    configs = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+    names = sorted(n for n in os.listdir(configs) if n.endswith(".json"))
+    assert names
+    for name in names:
+        load_run_config(os.path.join(configs, name))
 
 
 # ---------------------------------------------------------------------------
