@@ -8,7 +8,7 @@ caching baseline, and exact block-forward cost accounting.
 from .autodiff import Tensor, backward, mse
 from .caching import CacheConfig, CacheStore, location_preset
 from .data import Dataset, batches, gen_shapes, load_idx
-from .dit import DiT, BackboneConfig, DiTBlock, FeatureTap
+from .dit import DiT, BackboneConfig, DiTBlock
 from .feedback import FeedbackState, ilf_forward, make_feedback
 from .optim import Adam
 from .schedule import (

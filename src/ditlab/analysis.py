@@ -40,8 +40,8 @@ class DriftReport:
 def _check_taps(taps) -> tuple:
     if len(taps) < 2:
         raise ValueError("need taps from at least 2 steps")
-    n_blocks = len(taps[0].features)
-    if any(len(t.features) != n_blocks for t in taps):
+    n_blocks = len(taps[0])
+    if any(len(t) != n_blocks for t in taps):
         raise ValueError("tap block counts differ across steps")
     return len(taps), n_blocks
 
@@ -52,9 +52,9 @@ def drift_over_time(taps) -> np.ndarray:
     S, n_blocks = _check_taps(taps)
     out = np.zeros((n_blocks, S), dtype=np.float64)
     for b in range(n_blocks):
-        ref = taps[0].features[b].astype(np.float64)
+        ref = taps[0][b].astype(np.float64)
         for k in range(S):
-            out[b, k] = np.linalg.norm(taps[k].features[b].astype(np.float64) - ref)
+            out[b, k] = np.linalg.norm(taps[k][b].astype(np.float64) - ref)
     return out
 
 
@@ -64,9 +64,9 @@ def drift_over_blocks(taps) -> np.ndarray:
     S, n_blocks = _check_taps(taps)
     out = np.zeros((n_blocks, S), dtype=np.float64)
     for k in range(S):
-        ref = taps[k].features[0].astype(np.float64)
+        ref = taps[k][0].astype(np.float64)
         for b in range(n_blocks):
-            out[b, k] = np.linalg.norm(taps[k].features[b].astype(np.float64) - ref)
+            out[b, k] = np.linalg.norm(taps[k][b].astype(np.float64) - ref)
     return out
 
 

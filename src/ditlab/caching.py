@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .dit import DiT, FeatureTap
+from .dit import DiT
 
 
 def location_preset(preset: str, c: int, n: int) -> tuple:
@@ -92,15 +92,16 @@ def cached_run_block(model: DiT, idx: int, h: Tensor, cond: Tensor,
 
 
 def cached_forward(model: DiT, x, t: float, class_id, cfg: CacheConfig,
-                   store: CacheStore, refresh: bool, tap: bool = False):
-    """Full model pass with caching applied to the configured blocks."""
+                   store: CacheStore, refresh: bool, feats: list | None = None):
+    """Full model pass with caching applied to the configured blocks.
+    Returns (eps_hat, block_forward_count). Given a `feats` list, appends a
+    copy of each block's output to it, hit or refresh."""
     n = model.cfg.n_blocks
     if any(b >= n for b in cfg.blocks):
         raise ValueError(f"cached block index out of range for {n} blocks")
     cached = set(cfg.blocks)
     h = model.patchify(x)
     cond = model.embed_condition(t, class_id)
-    feats = [] if tap else None
     count = 0
     for i in range(n):
         if i in cached:
@@ -109,10 +110,7 @@ def cached_forward(model: DiT, x, t: float, class_id, cfg: CacheConfig,
         else:
             h = model.run_block(i, h, cond)
             count += 1
-        if tap:
+        if feats is not None:
             feats.append(h.data.copy())
-    eps = model.final_layer(h, cond)
-    if tap:
-        return eps, count, FeatureTap(feats, model.cfg.tokens)
-    return eps, count
+    return model.final_layer(h, cond), count
 

@@ -19,7 +19,6 @@ from . import analysis
 from .analysis import BENCH_COLUMNS
 from .checkpoint import config_hash, load_checkpoint, load_into, params_hash, save_checkpoint
 from .config import ConfigError, RunConfig, load_run_config
-from .data import Dataset, gen_shapes, load_idx
 from .dit import DiT
 from .feedback import FeedbackState, make_feedback
 from .pgm import write_pgm
@@ -33,18 +32,6 @@ def _backbone_hash_of(model: DiT) -> str:
 
 def _backbone_cfg_hash(cfg: RunConfig) -> str:
     return config_hash(dataclasses.asdict(cfg.backbone))
-
-
-def _build_dataset(cfg: RunConfig) -> Dataset:
-    if cfg.data.source == "procedural":
-        return gen_shapes(cfg.data.seed, cfg.data.n_per_class,
-                          cfg.backbone.n_classes, cfg.backbone.image_size)
-    ds = load_idx(cfg.data.idx_images, cfg.data.idx_labels, size=cfg.backbone.image_size)
-    if ds.n_classes > cfg.backbone.n_classes:
-        raise ConfigError(
-            f"dataset has {ds.n_classes} classes but backbone.n_classes="
-            f"{cfg.backbone.n_classes}")
-    return ds
 
 
 def _build_model(cfg: RunConfig) -> DiT:
@@ -114,7 +101,7 @@ def cmd_train(config_path: str) -> dict:
     cfg = load_run_config(config_path)
     os.makedirs(cfg.out_dir, exist_ok=True)
     ns = make_schedule(cfg.backbone.T)
-    dataset = _build_dataset(cfg)
+    dataset = cfg.dataset()
 
     if cfg.backbone_checkpoint:
         model = _load_backbone(cfg, cfg.backbone_checkpoint)

@@ -16,6 +16,7 @@ import typing
 from dataclasses import dataclass, field
 
 from .analysis import BenchEntry
+from .data import Dataset, gen_shapes, load_idx
 from .dit import BackboneConfig
 from .schedule import PlanConfig
 from .training import BackboneTrainConfig, TrainConfig
@@ -104,6 +105,28 @@ class RunConfig:
                            refresh_period=c.refresh_period)
         return entry.build(self.backbone.T, self.backbone.n_blocks)
 
+    def dataset(self) -> Dataset:
+        """The training set of the data section, checked against the image
+        shape of the backbone and the batch size of each training phase."""
+        d, b = self.data, self.backbone
+        if d.source == "procedural":
+            ds = gen_shapes(d.seed, d.n_per_class, b.n_classes, b.image_size)
+        else:
+            ds = load_idx(d.idx_images, d.idx_labels, size=b.image_size)
+        if ds.n_classes > b.n_classes:
+            raise ConfigError(f"dataset has {ds.n_classes} classes but "
+                              f"backbone.n_classes={b.n_classes}")
+        shape = (b.channels, b.image_size, b.image_size)
+        if ds.images.shape[1:] != shape:
+            raise ConfigError(f"dataset images are {ds.images.shape[1:]}, but backbone.channels "
+                              f"and backbone.image_size ask for {shape}")
+        for key, batch in (("backbone_train", self.backbone_train.batch_size),
+                           ("ilf.train", self.ilf.train.batch_size)):
+            if batch > len(ds):
+                raise ConfigError(f"{key}.batch_size={batch} exceeds the "
+                                  f"{len(ds)} dataset images")
+        return ds
+
 
 def _typed(tp, val, path: str):
     """`val` checked against the declared field type `tp`: int (not bool),
@@ -154,7 +177,10 @@ def _built(section: str, build, *args, **kwargs):
 def _check_builds(cfg: RunConfig):
     """Build each plan and cache config the commands build from `cfg`:
     those of every sampling kind, and every bench entry's at the width it
-    runs at (mock_n when set)."""
+    runs at (mock_n when set). A procedural dataset is built too; IDX files
+    are read only by `train`."""
+    if cfg.data.source == "procedural":
+        _built("data/backbone", cfg.dataset)
     for kind, section in (("baseline", "plan"), ("ilf", "plan/ilf"), ("cached", "cache")):
         _built(section, cfg.sampling, kind)
     width = cfg.backbone.n_blocks if cfg.bench.mock_n is None else cfg.bench.mock_n

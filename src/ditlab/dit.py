@@ -3,14 +3,15 @@
 Patchify -> token embedding -> N adaLN-Zero transformer blocks -> final
 modulated projection back to pixel space. The adaLN modulation MLPs and the
 final projection are zero-initialized, so a freshly built block is exactly
-the identity on tokens and a fresh model predicts zero noise. Per-block
-feature taps can be recorded for drift analysis.
+the identity on tokens and a fresh model predicts zero noise. A full pass
+given a `feats` list appends a copy of each block's [tokens, dim] output to
+it, for drift analysis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +51,8 @@ class BackboneConfig:
             raise ValueError("image_size must be divisible by patch_size")
         if self.hidden_dim % self.n_heads != 0:
             raise ValueError("hidden_dim must be divisible by n_heads")
+        if self.hidden_dim % 2 != 0:
+            raise ValueError("hidden_dim must be even: time features are sin/cos pairs")
         if self.n_blocks < 2:
             raise ValueError("need at least 2 blocks")
         if self.T < 1:
@@ -66,14 +69,6 @@ class BackboneConfig:
     @property
     def patch_dim(self) -> int:
         return self.channels * self.patch_size * self.patch_size
-
-
-@dataclass
-class FeatureTap:
-    """Per-block token features recorded during one forward pass."""
-
-    features: list  # n_blocks arrays of [tokens, hidden_dim]
-    tokens: int
 
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -289,19 +284,13 @@ class DiT:
 
     # -- full passes ------------------------------------------------------
 
-    def forward(self, x, t: float, class_id: int, tap: bool = False):
-        """Predict the noise component of x at timestep t.
-
-        With tap=True also returns a FeatureTap of all block outputs.
-        """
+    def forward(self, x, t: float, class_id: int, feats: list | None = None):
+        """Predict the noise component of x at timestep t. Given a `feats`
+        list, append a copy of each block's output to it."""
         h = self.patchify(x)
         cond = self.embed_condition(t, class_id)
-        feats = [] if tap else None
         for blk in self.blocks:
             h = blk.run(h, cond)
-            if tap:
+            if feats is not None:
                 feats.append(h.data.copy())
-        eps = self.final_layer(h, cond)
-        if tap:
-            return eps, FeatureTap(feats, self.cfg.tokens)
-        return eps
+        return self.final_layer(h, cond)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, mul, slice_last
-from .dit import DiT, DiTBlock, FeatureTap
+from .dit import DiT, DiTBlock
 
 
 @dataclass
@@ -63,14 +63,15 @@ def make_feedback(model: DiT, loop_start: int, loop_end: int,
 
 
 def ilf_forward(model: DiT, fs: FeedbackState, x, t: float, t_post: float,
-                class_id: int, tap: bool = False):
+                class_id: int, feats: list | None = None):
     """Feedback-augmented forward pass.
 
     Blocks 0..e run under cond(t); the feedback block turns the loop-end
     features into f_feed; blocks b..e are re-run with s-scaled f_feed added
     to each input; the re-run, the tail blocks, and the final projection all
-    use cond(t_post). Returns (eps_hat, block_forward_count) and, with
-    tap=True, the FeatureTap of effective block outputs.
+    use cond(t_post). Returns (eps_hat, block_forward_count). Given a `feats`
+    list, appends a copy of each block's effective output to it: blocks
+    before the loop from the first pass, the rest from the re-run.
     """
     b, e = fs.loop_start, fs.loop_end
     n = model.cfg.n_blocks
@@ -83,14 +84,13 @@ def ilf_forward(model: DiT, fs: FeedbackState, x, t: float, t_post: float,
     h = model.patchify(x)
     cond_t = model.embed_condition(t, class_id)
 
-    feats = [] if tap else None
     f_prev = h  # stands in for the block-(b-1) output when b == 0
     for i in range(e + 1):
         h = model.run_block(i, h, cond_t)
         count += 1
         if i == b - 1:
             f_prev = h
-        if tap and i < b:
+        if feats is not None and i < b:
             feats.append(h.data.copy())
 
     f_feed = fs.block.run(h, cond_t)
@@ -98,19 +98,12 @@ def ilf_forward(model: DiT, fs: FeedbackState, x, t: float, t_post: float,
 
     cond_post = model.embed_condition(t_post, class_id)
     cur = f_prev
-    for i in range(b, e + 1):
-        s_i = slice_last(fs.s, i - b, i - b + 1)
-        cur = model.run_block(i, mul(f_feed, s_i) + cur, cond_post)
-        count += 1
-        if tap:
-            feats.append(cur.data.copy())
-    for i in range(e + 1, n):
+    for i in range(b, n):
+        if i <= e:
+            cur = mul(f_feed, slice_last(fs.s, i - b, i - b + 1)) + cur
         cur = model.run_block(i, cur, cond_post)
         count += 1
-        if tap:
+        if feats is not None:
             feats.append(cur.data.copy())
 
-    eps = model.final_layer(cur, cond_post)
-    if tap:
-        return eps, count, FeatureTap(feats, model.cfg.tokens)
-    return eps, count
+    return model.final_layer(cur, cond_post), count

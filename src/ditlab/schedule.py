@@ -138,7 +138,7 @@ def _preset_flags(preset: str, S: int) -> list:
         return [k % 2 == 0 for k in range(S)]
     if S < 5:
         raise ValueError(f"preset {preset!r} needs S >= 5, got {S}")
-    if preset in ("skip_inner", "outer_only"):
+    if preset == "skip_inner":
         keep = {0, 1, S - 2, S - 1}
     elif preset == "first_only":
         keep = {0, 1, 2, 3}
@@ -305,7 +305,7 @@ class SampleResult:
     cache_cfg: CacheConfig | None
     seed: int
     ddim_pairs: list            # (t, t_next) actually fed to the ddim update
-    taps: list | None = None    # per sample: list of FeatureTap per step
+    taps: list | None = None    # per sample, per step: the n_blocks block outputs
 
     def cost_row(self) -> dict:
         # for kind=cached, m holds the cached-block count and the
@@ -331,31 +331,27 @@ class SampleResult:
 COST_COLUMNS = ("kind", "S", "n", "m", "feedback_steps", "block_forwards", "wall_ms", "seed")
 
 
-def _step_function(kind: str, model: DiT, plan: InferencePlan, fs, cache_cfg, tap: bool):
+def _step_function(kind: str, model: DiT, plan: InferencePlan, fs, cache_cfg):
     """Check what `kind` needs and resolve it once, into a step function
-    (x, k, label, store) -> (eps, block forwards, FeatureTap or None)."""
+    (x, k, label, store, feats) -> (eps, block forwards); a `feats` list
+    receives the step's block outputs."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     if plan.n_blocks != model.cfg.n_blocks:
         raise ValueError("plan was built for a different block count")
     n = model.cfg.n_blocks
 
-    def plain(x, k, label, store):
-        if tap:
-            eps, step_tap = model.forward(x, plan.steps[k], label, tap=True)
-            return eps, n, step_tap
-        return model.forward(x, plan.steps[k], label), n, None
+    def plain(x, k, label, store, feats):
+        return model.forward(x, plan.steps[k], label, feats), n
 
-    def feedback(x, k, label, store):
+    def feedback(x, k, label, store, feats):
         if not plan.feedback[k]:
-            return plain(x, k, label, store)
-        out = ilf_forward(model, fs, x, plan.steps[k], plan.t_post(k), label, tap=tap)
-        return out if tap else (*out, None)
+            return plain(x, k, label, store, feats)
+        return ilf_forward(model, fs, x, plan.steps[k], plan.t_post(k), label, feats)
 
-    def cached(x, k, label, store):
-        out = cached_forward(model, x, plan.steps[k], label, cache_cfg, store,
-                             cache_cfg.refreshes(k), tap=tap)
-        return out if tap else (*out, None)
+    def cached(x, k, label, store, feats):
+        return cached_forward(model, x, plan.steps[k], label, cache_cfg, store,
+                              cache_cfg.refreshes(k), feats)
 
     if kind == "baseline":
         return plain
@@ -382,7 +378,7 @@ def sample(kind: str, model: DiT, ns: NoiseSchedule, plan: InferencePlan, class_
     equals plan.block_cost(kind, cache_cfg). class_id=None gives image j
     the class j % n_classes.
     """
-    step = _step_function(kind, model, plan, fs, cache_cfg, tap)
+    step = _step_function(kind, model, plan, fs, cache_cfg)
     cfg = model.cfg
     shape = (cfg.channels, cfg.image_size, cfg.image_size)
     images, labels, taps = [], [], []
@@ -401,12 +397,13 @@ def sample(kind: str, model: DiT, ns: NoiseSchedule, plan: InferencePlan, class_
             for k in range(plan.S):
                 t = plan.steps[k]
                 t_next = plan.steps[k + 1] if k + 1 < plan.S else 0.0
-                eps, c, step_tap = step(x, k, label, store)
+                feats = [] if tap else None
+                eps, c = step(x, k, label, store, feats)
                 if j == 0:
                     ddim_pairs.append((t, t_next))
                 x = ddim_step(x, eps.data, t, t_next, ns)
                 count += c
-                sample_taps.append(step_tap)
+                sample_taps.append(feats)
             if per_image_blocks is None:
                 per_image_blocks = count
             elif per_image_blocks != count:

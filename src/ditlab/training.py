@@ -42,6 +42,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
+        if self.lr < 0:
+            raise ValueError("lr must be >= 0")
         if self.w_recon < 0 or self.w_distill < 0:
             raise ValueError("loss weights must be >= 0")
         if self.w_recon == 0 and self.w_distill == 0:
@@ -167,6 +169,8 @@ class BackboneTrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
+        if self.lr < 0:
+            raise ValueError("lr must be >= 0")
 
 
 def backbone_train_step(model: DiT, ns: NoiseSchedule, images: np.ndarray,

@@ -16,13 +16,12 @@ from ditlab.analysis import (
     rbf_mmd2,
     toy_quality,
 )
-from ditlab.dit import FeatureTap
 
 
 def taps_from(arr):
-    """arr: [S, n_blocks, L, D] -> list of FeatureTap."""
-    return [FeatureTap([np.asarray(arr[k, b], np.float32) for b in range(arr.shape[1])],
-                       tokens=arr.shape[2]) for k in range(arr.shape[0])]
+    """arr: [S, n_blocks, L, D] -> per step, the list of block outputs."""
+    return [[np.asarray(arr[k, b], np.float32) for b in range(arr.shape[1])]
+            for k in range(arr.shape[0])]
 
 
 def mmd2_oracle(x, y, bandwidth):

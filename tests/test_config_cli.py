@@ -178,10 +178,11 @@ def test_config_plans_and_caches_are_built_at_load(tmp_path, capsys):
 
 
 def test_config_zero_divisors_and_counts_rejected_at_load(tmp_path, capsys):
-    # each used to pass load, or end in a ZeroDivisionError traceback
-    for key in ("patch_size", "n_heads"):
+    # each used to pass load, or end in a ZeroDivisionError traceback; an
+    # odd hidden_dim passed load and failed at the first forward
+    for bad in ({"patch_size": 0}, {"n_heads": 0}, {"hidden_dim": 15, "n_heads": 3}):
         d = tiny_config_dict(str(tmp_path))
-        d["backbone"][key] = 0
+        d["backbone"].update(bad)
         _one_error_line_and_no_output(capsys, tmp_path, d, says="backbone")
     for section, key, value in (("sample", "n_samples", 0), ("bench", "n_samples", 0),
                                 ("bench", "repeats", 0), ("bench", "repeats", -3)):
@@ -189,6 +190,30 @@ def test_config_zero_divisors_and_counts_rejected_at_load(tmp_path, capsys):
         d[section][key] = value
         with pytest.raises(ConfigError, match=f"section '{section}'.*{key}"):
             parse_run_config(d)
+
+
+def test_config_dataset_and_lr_checked_at_load(tmp_path, capsys):
+    # each used to pass load; `train` then made out_dir and failed at the
+    # first batch or forward naming no key, or trained on a negative lr
+    for section, key, value, says in (
+            ("backbone", "channels", 3, "backbone.channels"),
+            ("backbone", "n_classes", 9, "n_classes"),
+            ("backbone", "image_size", 4, "data/backbone"),
+            ("data", "seed", -1, "data/backbone"),
+            ("backbone_train", "batch_size", 64, "backbone_train.batch_size"),
+            ("ilf.train", "batch_size", 17, "ilf.train.batch_size"),
+            ("backbone_train", "lr", -1, "backbone_train"),
+            ("ilf.train", "lr", -0.5, "ilf.train")):
+        d = tiny_config_dict(str(tmp_path))
+        owner = d
+        for part in section.split("."):
+            owner = owner[part]
+        owner[key] = value
+        _one_error_line_and_no_output(capsys, tmp_path, d, says=says)
+    d = tiny_config_dict(str(tmp_path))
+    d["backbone_train"]["lr"] = 0  # a zero rate is legal
+    d["backbone_train"]["batch_size"] = 16  # the whole 16-image set
+    assert len(parse_run_config(d).dataset()) == 16
 
 
 def test_shipped_configs_load():

@@ -215,10 +215,11 @@ def test_tap_structure_and_consistency(tiny_random_model):
     rng = np.random.default_rng(8)
     x = rng.normal(size=(1, 8, 8)).astype(np.float32)
     eps_plain = tiny_random_model.forward(x, 321.5, 2)
-    eps_tap, taps = tiny_random_model.forward(x, 321.5, 2, tap=True)
+    taps = []
+    eps_tap = tiny_random_model.forward(x, 321.5, 2, taps)
     assert np.array_equal(eps_plain.data, eps_tap.data)
-    assert len(taps.features) == tiny_random_model.cfg.n_blocks
-    assert all(f.shape == (4, 16) for f in taps.features)
+    assert len(taps) == tiny_random_model.cfg.n_blocks
+    assert all(f.shape == (4, 16) for f in taps)
 
 
 def test_forward_equals_manual_block_composition(tiny_random_model):
@@ -227,13 +228,14 @@ def test_forward_equals_manual_block_composition(tiny_random_model):
     x = rng.normal(size=(1, 8, 8)).astype(np.float32)
     t, cls = 123.0, 3
 
-    eps, taps = model.forward(x, t, cls, tap=True)
+    taps = []
+    eps = model.forward(x, t, cls, taps)
 
     h = model.patchify(x)
     cond = model.embed_condition(t, cls)
     for i in range(model.cfg.n_blocks):
         h = model.run_block(i, h, cond)
-        assert np.array_equal(h.data, taps.features[i])
+        assert np.array_equal(h.data, taps[i])
     manual = model.final_layer(h, cond)
     assert np.array_equal(manual.data, eps.data)
 
@@ -248,6 +250,8 @@ def test_config_invariants():
         tiny_config(image_size=10, patch_size=4)
     with pytest.raises(ValueError):
         tiny_config(hidden_dim=15)
+    with pytest.raises(ValueError, match="even"):
+        tiny_config(hidden_dim=15, n_heads=3)
     with pytest.raises(ValueError):
         tiny_config(n_blocks=1)
     with pytest.raises(ValueError):

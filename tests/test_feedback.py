@@ -92,8 +92,9 @@ def test_injection_affine_in_s_at_final_layer_input():
 
     def final_input(s_values):
         fs.s.data = np.asarray(s_values, np.float32)
-        _, _, taps = ilf_forward(model, fs, x, 600.0, 300.0, 1, tap=True)
-        return taps.features[-1].astype(np.float64)
+        taps = []
+        ilf_forward(model, fs, x, 600.0, 300.0, 1, taps)
+        return taps[-1].astype(np.float64)
 
     for i in range(fs.m):
         base = [0.0] * fs.m
@@ -149,7 +150,8 @@ def test_tap_covers_effective_outputs(setup):
     fs.s.data = np.array([0.3, -0.2], np.float32)
     rng = np.random.default_rng(61)
     x = rng.normal(size=(1, 8, 8)).astype(np.float32)
-    eps, count, taps = ilf_forward(model, fs, x, 500.0, 250.0, 1, tap=True)
-    assert len(taps.features) == model.cfg.n_blocks
+    taps = []
+    eps, count = ilf_forward(model, fs, x, 500.0, 250.0, 1, taps)
+    assert len(taps) == model.cfg.n_blocks
     eps_plain, _ = ilf_forward(model, fs, x, 500.0, 250.0, 1)
     assert np.array_equal(eps.data, eps_plain.data)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import randomize, tiny_config
-from ditlab import DiT, make_feedback
+from ditlab import CacheConfig, DiT, make_feedback
 from ditlab.schedule import (
     InferencePlan,
     baseline_block_cost,
@@ -197,11 +197,8 @@ def test_preset_first_last_outer():
     assert first.feedback == (True,) * 4 + (False,) * 4
     last = make_plan(8, 1000, "uniform", "last_only", (0, 1), 4)
     assert last.feedback == (False,) * 4 + (True,) * 4
-    outer = make_plan(8, 1000, "uniform", "outer_only", (0, 1), 4)
-    inner_span = [not f for f in make_plan(8, 1000, "uniform", "skip_inner",
-                                           (0, 1), 4).feedback]
-    # outer placement is the complement of the inner span
-    assert list(outer.feedback) == [not f for f in inner_span]
+    outer = make_plan(8, 1000, "uniform", "skip_inner", (0, 1), 4)
+    assert outer.feedback == (True,) * 2 + (False,) * 4 + (True,) * 2
 
 
 def test_preset_too_small_raises():
@@ -306,12 +303,34 @@ def test_sample_deterministic_and_counts(sampler_setup):
     for loop in ((0, 0), (1, 2), (0, 2), (2, 2)):
         fs_loop = make_feedback(model, *loop, np.random.default_rng(34))
         for S, preset in ((5, "skip_inner"), (6, "first_only"), (6, "last_only"),
-                          (7, "outer_only"), (2, "alternating"), (6, "alternating"),
+                          (7, "skip_inner"), (2, "alternating"), (6, "alternating"),
                           (1, "all"), (4, "all")):
             plan = make_plan(S, 1000, "rescaled", preset, loop, n)
             res = sample("ilf", model, ns, plan, 0, seed=5, fs=fs_loop)
             assert res.block_forwards == plan.block_cost("ilf")
             assert res.block_forwards == ilf_block_cost(n, S, fs_loop.m, plan.feedback_steps)
+
+
+def test_sample_taps_are_block_outputs_and_change_nothing(sampler_setup):
+    model, fs, ns = sampler_setup
+    cfg = model.cfg
+    plain = make_plain_plan(5, 1000, cfg.n_blocks)
+    # skip_inner at S=5 runs a plain step between feedback steps
+    feedback = make_plan(5, 1000, "rescaled", "skip_inner", (1, 2), cfg.n_blocks)
+    cache_cfg = CacheConfig.from_preset("inner", 1, cfg.n_blocks, 2)
+    for kind, plan, kw in (("baseline", plain, {}), ("ilf", feedback, {"fs": fs}),
+                           ("cached", plain, {"cache_cfg": cache_cfg})):
+        off = sample(kind, model, ns, plan, None, seed=7, n_samples=2, **kw)
+        on = sample(kind, model, ns, plan, None, seed=7, n_samples=2, tap=True, **kw)
+        assert off.taps is None
+        assert np.array_equal(on.images, off.images)
+        assert on.block_forwards == off.block_forwards
+        assert len(on.taps) == 2
+        for sample_taps in on.taps:
+            assert len(sample_taps) == plan.S
+            for step_taps in sample_taps:
+                assert len(step_taps) == cfg.n_blocks
+                assert all(f.shape == (cfg.tokens, cfg.hidden_dim) for f in step_taps)
 
 
 def test_sample_baseline_cost_and_shape(sampler_setup):

@@ -121,9 +121,9 @@ def test_student_and_teacher_see_the_plan_t_post(setup, monkeypatch):
         student.append((t, t_post))
         return real_ilf(model_, fs_, x, t, t_post, class_id)
 
-    def spy_forward(x, t, class_id=None, tap=False):
+    def spy_forward(x, t, class_id=None, feats=None):
         teacher.append((x.copy(), t))
-        return real_forward(x, t, class_id, tap)
+        return real_forward(x, t, class_id, feats)
 
     monkeypatch.setattr(training, "ilf_forward", spy_ilf)
     monkeypatch.setattr(model, "forward", spy_forward)
