@@ -158,6 +158,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
     if ad.ndim > 2 and bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2]:
         raise ValueError(f"matmul batch dims must match: {ad.shape} @ {bd.shape}")
+    if ad.ndim > 2 and bd.ndim == 2:
+        # [..., K] @ [K, N]: one gemm over the flattened rows, so the weight
+        # gradient is one gemm too, in the weight's own shape
+        rows = ad.reshape(-1, inner_a)
+        out = (rows @ bd).reshape(*ad.shape[:-1], bd.shape[1])
+
+        def vjp(g):
+            g2 = g.reshape(-1, bd.shape[1])
+            return (g2 @ bd.T).reshape(ad.shape), rows.T @ g2
+
+        return _make(out, (a, b), vjp)
     out = ad @ bd
 
     def vjp(g):
@@ -208,15 +219,19 @@ def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
     return _make(out, (x,), vjp)
 
 
-def take_row(table: Tensor, idx: int) -> Tensor:
-    """Embedding-table row lookup with scatter-add gradient."""
-    if not (0 <= idx < table.data.shape[0]):
-        raise ValueError(f"row {idx} out of range for table with {table.data.shape[0]} rows")
+def take_row(table: Tensor, idx) -> Tensor:
+    """Embedding-table lookup of one row (an int) or of a row per sample (an
+    int array), with a scatter-add gradient: repeated rows accumulate."""
+    idx = np.asarray(idx)
+    rows = table.data.shape[0]
+    bad = idx[(idx < 0) | (idx >= rows)]
+    if bad.size:
+        raise ValueError(f"row {bad.flat[0]} out of range for table with {rows} rows")
     out = table.data[idx]
 
     def vjp(g):
         full = np.zeros_like(table.data)
-        full[idx] = g
+        np.add.at(full, idx, g)
         return (full,)
 
     return _make(out, (table,), vjp)
@@ -313,13 +328,15 @@ def layer_norm(x: Tensor, eps: float = 1e-6) -> Tensor:
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(q kᵀ / sqrt(d)) v over [heads, tokens, head_dim] inputs."""
+    """softmax(q kᵀ / sqrt(d)) v over [heads, tokens, head_dim] inputs, or
+    over [batch, heads, tokens, head_dim]."""
     if not (q.shape == k.shape == v.shape):
         raise ValueError(f"attention shape mismatch: {q.shape}, {k.shape}, {v.shape}")
-    if q.ndim != 3:
-        raise ValueError(f"attention expects [H, L, Dh], got {q.shape}")
+    if q.ndim not in (3, 4):
+        raise ValueError(f"attention expects [H, L, Dh] or [B, H, L, Dh], got {q.shape}")
     head_dim = q.shape[-1]
-    scores = matmul(q, transpose(k, (0, 2, 1))) * (1.0 / math.sqrt(head_dim))
+    k_t = transpose(k, (*range(q.ndim - 2), q.ndim - 1, q.ndim - 2))
+    scores = matmul(q, k_t) * (1.0 / math.sqrt(head_dim))
     return matmul(softmax(scores), v)
 
 

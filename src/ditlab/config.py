@@ -16,7 +16,7 @@ import typing
 from dataclasses import dataclass, field
 
 from .analysis import BenchEntry
-from .data import Dataset, gen_shapes, load_idx
+from .data import SHAPES_MIN_SIZE, Dataset, gen_shapes, load_idx
 from .dit import BackboneConfig
 from .schedule import PlanConfig
 from .training import BackboneTrainConfig, TrainConfig
@@ -94,6 +94,9 @@ class RunConfig:
     sample: SampleConfig = field(default_factory=SampleConfig)
     bench: BenchConfig = field(default_factory=BenchConfig)
 
+    def __post_init__(self):
+        self._dataset = None  # built once, by the first dataset() call
+
     def sampling(self, kind: str) -> tuple:
         """(plan, cache config) that sampling as `kind` runs, from the plan,
         ilf and cache sections; the cache config is None unless kind='cached'."""
@@ -107,9 +110,17 @@ class RunConfig:
 
     def dataset(self) -> Dataset:
         """The training set of the data section, checked against the image
-        shape of the backbone and the batch size of each training phase."""
+        shape of the backbone and the batch size of each training phase.
+        Built once per config: load checks it, and `train` trains on it."""
+        if self._dataset is not None:
+            return self._dataset
         d, b = self.data, self.backbone
         if d.source == "procedural":
+            if d.seed < 0:
+                raise ConfigError(f"data.seed={d.seed} must be >= 0")
+            if b.image_size < SHAPES_MIN_SIZE:
+                raise ConfigError(f"backbone.image_size={b.image_size} is below the procedural "
+                                  f"source's minimum of {SHAPES_MIN_SIZE}")
             ds = gen_shapes(d.seed, d.n_per_class, b.n_classes, b.image_size)
         else:
             ds = load_idx(d.idx_images, d.idx_labels, size=b.image_size)
@@ -125,6 +136,7 @@ class RunConfig:
             if batch > len(ds):
                 raise ConfigError(f"{key}.batch_size={batch} exceeds the "
                                   f"{len(ds)} dataset images")
+        self._dataset = ds
         return ds
 
 

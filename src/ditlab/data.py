@@ -17,6 +17,7 @@ import numpy as np
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
+SHAPES_MIN_SIZE = 8  # smallest image side gen_shapes draws
 SHAPE_NAMES = ("filled_square", "hollow_square", "disk", "ring",
                "plus", "cross", "h_stripes", "v_stripes")
 
@@ -73,8 +74,8 @@ def gen_shapes(seed: int, n_per_class: int, n_classes: int = 8, size: int = 16) 
     """Render n_per_class jittered examples of each shape class."""
     if not (1 <= n_classes <= len(SHAPE_NAMES)):
         raise ValueError(f"n_classes must be in [1, {len(SHAPE_NAMES)}]")
-    if size < 8:
-        raise ValueError("size must be >= 8")
+    if size < SHAPES_MIN_SIZE:
+        raise ValueError(f"size must be >= {SHAPES_MIN_SIZE}")
     if n_per_class < 1:
         raise ValueError("n_per_class must be >= 1")
     rng = np.random.default_rng(seed)

@@ -5,7 +5,9 @@ modulated projection back to pixel space. The adaLN modulation MLPs and the
 final projection are zero-initialized, so a freshly built block is exactly
 the identity on tokens and a fresh model predicts zero noise. A full pass
 given a `feats` list appends a copy of each block's [tokens, dim] output to
-it, for drift analysis.
+it, for drift analysis. Every piece also takes a leading batch axis: images
+[B, C, H, W] with per-sample timesteps and class ids [B], each sample
+modulated by its own condition, as in DiT (arXiv 2212.09748).
 """
 
 from __future__ import annotations
@@ -88,6 +90,13 @@ def modulate(x: Tensor, shift: Tensor, scale: Tensor) -> Tensor:
     return mul(x, scale + 1.0) + shift
 
 
+def _modulation(cond: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """adaLN parameters of a condition: [n] for one sample, [B, 1, n] for a
+    batch of conditions [B, D], so that they broadcast over tokens."""
+    mod = matmul(silu(cond), w) + b
+    return mod if cond.ndim == 1 else reshape(mod, (mod.shape[0], 1, mod.shape[1]))
+
+
 class DiTBlock:
     """Pre-norm transformer block, shift/scale/gate-modulated by a condition."""
 
@@ -117,26 +126,29 @@ class DiTBlock:
                  "w1", "b1", "w2", "b2", "w_mod", "b_mod")
         return {f"{prefix}{n}": getattr(self, n) for n in names}
 
-    def _heads(self, x: Tensor) -> Tensor:
-        tokens = x.shape[0]
-        return transpose(reshape(x, (tokens, self.n_heads, self.head_dim)), (1, 0, 2))
+    @staticmethod
+    def _swap_heads(x: Tensor) -> Tensor:
+        """[..., tokens, heads, head_dim] <-> [..., heads, tokens, head_dim]."""
+        n = x.ndim
+        return transpose(x, (*range(n - 3), n - 2, n - 3, n - 1))
 
     def _attention(self, x: Tensor) -> Tensor:
-        tokens = x.shape[0]
-        q = self._heads(matmul(x, self.wq) + self.bq)
-        k = self._heads(matmul(x, self.wk) + self.bk)
-        v = self._heads(matmul(x, self.wv) + self.bv)
+        split = (*x.shape[:-1], self.n_heads, self.head_dim)
+        q = self._swap_heads(reshape(matmul(x, self.wq) + self.bq, split))
+        k = self._swap_heads(reshape(matmul(x, self.wk) + self.bk, split))
+        v = self._swap_heads(reshape(matmul(x, self.wv) + self.bv, split))
         att = scaled_dot_attention(q, k, v)
-        merged = reshape(transpose(att, (1, 0, 2)), (tokens, self.dim))
+        merged = reshape(self._swap_heads(att), x.shape)
         return matmul(merged, self.wo) + self.bo
 
     def run(self, h: Tensor, cond: Tensor, return_branches: bool = False):
-        """h: [tokens, dim]; cond: [dim]. Returns the block output, and
-        optionally the two gated residual branches (for caching)."""
-        if h.shape[-1] != self.dim or cond.shape != (self.dim,):
+        """h: [tokens, dim] with cond [dim], or [B, tokens, dim] with cond
+        [B, dim]. Returns the block output, and optionally the two gated
+        residual branches (for caching)."""
+        if h.shape[-1] != self.dim or cond.shape != (*h.shape[:-2], self.dim):
             raise ValueError(f"bad shapes for block: h {h.shape}, cond {cond.shape}")
         d = self.dim
-        mod = matmul(silu(cond), self.w_mod) + self.b_mod
+        mod = _modulation(cond, self.w_mod, self.b_mod)
         shift_a, scale_a, gate_a, shift_m, scale_m, gate_m = (
             slice_last(mod, j * d, (j + 1) * d) for j in range(6)
         )
@@ -153,7 +165,8 @@ class DiTBlock:
 class ConditionEmbedding:
     """Sinusoidal time features through a 2-layer MLP, plus a class table.
 
-    Accepts non-integer timesteps. The class table's last row is never read.
+    Accepts non-integer timesteps, and per-sample arrays of timesteps and
+    class ids ([B] -> [B, dim]). The class table's last row is never read.
     It stays because every later weight is drawn from the same init RNG
     stream: dropping it would change all of them and void saved checkpoints.
     """
@@ -172,22 +185,25 @@ class ConditionEmbedding:
         names = ("t_w1", "t_b1", "t_w2", "t_b2", "table")
         return {f"{prefix}{n}": getattr(self, n) for n in names}
 
-    def sinusoid(self, t: float) -> np.ndarray:
-        """Interleaved sin/cos features of a real-valued timestep."""
+    def sinusoid(self, t) -> np.ndarray:
+        """Interleaved sin/cos features of a real-valued timestep [dim], or of
+        an array of them [..., dim]."""
         half = self.dim // 2
         freqs = np.exp(-math.log(10000.0) * np.arange(half) / half)
-        args = float(t) * freqs
-        feats = np.empty(self.dim, dtype=np.float32)
-        feats[0::2] = np.sin(args)
-        feats[1::2] = np.cos(args)
+        args = np.asarray(t, dtype=np.float64)[..., None] * freqs
+        feats = np.empty((*args.shape[:-1], self.dim), dtype=np.float32)
+        feats[..., 0::2] = np.sin(args)
+        feats[..., 1::2] = np.cos(args)
         return feats
 
-    def __call__(self, t: float, class_id: int) -> Tensor:
-        if not (0 <= class_id < self.n_classes):
-            raise ValueError(f"class_id {class_id} out of range [0, {self.n_classes})")
+    def __call__(self, t, class_id) -> Tensor:
+        ids = np.asarray(class_id)
+        bad = ids[(ids < 0) | (ids >= self.n_classes)]
+        if bad.size:
+            raise ValueError(f"class_id {bad.flat[0]} out of range [0, {self.n_classes})")
         feats = Tensor(self.sinusoid(t))
         t_emb = matmul(silu(matmul(feats, self.t_w1) + self.t_b1), self.t_w2) + self.t_b2
-        return t_emb + take_row(self.table, int(class_id))
+        return t_emb + take_row(self.table, ids.astype(np.intp))
 
 
 class DiT:
@@ -238,13 +254,15 @@ class DiT:
     # -- pieces -----------------------------------------------------------
 
     def extract_patches(self, img: np.ndarray) -> np.ndarray:
-        """[C,H,W] -> [tokens, patch_dim], row-major grid, channel-major patches."""
+        """[C,H,W] -> [tokens, patch_dim], row-major grid, channel-major
+        patches; [B,C,H,W] -> [B, tokens, patch_dim]."""
         c = self.cfg
-        if img.shape != (c.channels, c.image_size, c.image_size):
-            raise ValueError(f"expected image {(c.channels, c.image_size, c.image_size)}, got {img.shape}")
-        g, p = c.grid, c.patch_size
-        x = img.reshape(c.channels, g, p, g, p)
-        return x.transpose(1, 3, 0, 2, 4).reshape(c.tokens, c.patch_dim)
+        shape = (c.channels, c.image_size, c.image_size)
+        if img.ndim not in (3, 4) or img.shape[-3:] != shape:
+            raise ValueError(f"expected image {shape} or a batch of them, got {img.shape}")
+        lead, g, p = img.shape[:-3], c.grid, c.patch_size
+        x = img.reshape(-1, c.channels, g, p, g, p).transpose(0, 2, 4, 1, 3, 5)
+        return x.reshape(*lead, c.tokens, c.patch_dim)
 
     def place_patches(self, patches: np.ndarray) -> np.ndarray:
         """Inverse of extract_patches, on plain arrays."""
@@ -260,15 +278,20 @@ class DiT:
         return matmul(tokens, self.patch_w) + self.patch_b + self.pos
 
     def unpatchify(self, tokens: Tensor) -> Tensor:
+        """[..., tokens, patch_dim] -> [..., C, H, W]."""
         c = self.cfg
-        g, p = c.grid, c.patch_size
-        x = reshape(tokens, (g, g, c.channels, p, p))
-        return reshape(transpose(x, (2, 0, 3, 1, 4)), (c.channels, c.image_size, c.image_size))
+        lead, g, p = tokens.shape[:-2], c.grid, c.patch_size
+        x = transpose(reshape(tokens, (-1, g, g, c.channels, p, p)), (0, 3, 1, 4, 2, 5))
+        return reshape(x, (*lead, c.channels, c.image_size, c.image_size))
 
-    def embed_condition(self, t: float, class_id: int) -> Tensor:
-        if not (0 <= float(t) <= self.cfg.T):
-            raise ValueError(f"t={t} outside [0, {self.cfg.T}]")
-        return self.cond(float(t), class_id)
+    def embed_condition(self, t, class_id) -> Tensor:
+        """cond [dim] of a timestep and a class id, or [B, dim] of per-sample
+        arrays of both."""
+        t = np.asarray(t, dtype=np.float64)
+        bad = t[~((0 <= t) & (t <= self.cfg.T))]
+        if bad.size:
+            raise ValueError(f"t={bad.flat[0]} outside [0, {self.cfg.T}]")
+        return self.cond(t, class_id)
 
     def run_block(self, idx: int, h: Tensor, cond: Tensor, return_branches: bool = False):
         if not (0 <= idx < self.cfg.n_blocks):
@@ -277,7 +300,7 @@ class DiT:
 
     def final_layer(self, h: Tensor, cond: Tensor) -> Tensor:
         d = self.cfg.hidden_dim
-        mod = matmul(silu(cond), self.final_mod_w) + self.final_mod_b
+        mod = _modulation(cond, self.final_mod_w, self.final_mod_b)
         shift, scale = slice_last(mod, 0, d), slice_last(mod, d, 2 * d)
         out = matmul(modulate(layer_norm(h, LN_EPS), shift, scale), self.final_w) + self.final_b
         return self.unpatchify(out)

@@ -62,9 +62,10 @@ def make_feedback(model: DiT, loop_start: int, loop_end: int,
     return fs
 
 
-def ilf_forward(model: DiT, fs: FeedbackState, x, t: float, t_post: float,
-                class_id: int, feats: list | None = None):
-    """Feedback-augmented forward pass.
+def ilf_forward(model: DiT, fs: FeedbackState, x, t, t_post, class_id,
+                feats: list | None = None):
+    """Feedback-augmented forward pass, of one image or of a batch with
+    per-sample t, t_post and class ids.
 
     Blocks 0..e run under cond(t); the feedback block turns the loop-end
     features into f_feed; blocks b..e are re-run with s-scaled f_feed added
@@ -77,7 +78,7 @@ def ilf_forward(model: DiT, fs: FeedbackState, x, t: float, t_post: float,
     n = model.cfg.n_blocks
     if e >= n:
         raise ValueError(f"loop end {e} out of range for {n} blocks")
-    if t_post > t:
+    if np.any(np.asarray(t_post) > np.asarray(t)):
         raise ValueError(f"t_post={t_post} must not exceed t={t}")
 
     count = 0

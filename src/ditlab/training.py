@@ -20,7 +20,7 @@ from .data import Dataset, batches
 from .dit import DiT
 from .feedback import FeedbackState, ilf_forward
 from .optim import Adam
-from .schedule import InferencePlan, NoiseSchedule, PlanConfig, ddim_step, make_plan, noise_sample
+from .schedule import InferencePlan, NoiseSchedule, PlanConfig, make_plan, noise_sample
 
 TPOST_TRAINING_MODES = ("plan", "t")
 
@@ -34,7 +34,7 @@ class TrainConfig:
     w_distill: float = 1.0
     seed: int = 0
     tpost_mode_training: str = "plan"
-    teacher_steps: int = 1
+    teacher_steps: int = 1  # only 1: the teacher re-noises straight to t_post
     checkpoint_interval: int = 0  # 0 disables periodic checkpoints
 
     def __post_init__(self):
@@ -50,55 +50,47 @@ class TrainConfig:
             raise ValueError("at least one loss weight must be positive")
         if self.tpost_mode_training not in TPOST_TRAINING_MODES:
             raise ValueError(f"unknown tpost_mode_training {self.tpost_mode_training!r}")
-        if self.teacher_steps < 1:
-            raise ValueError("teacher_steps must be >= 1")
+        if self.teacher_steps != 1:
+            raise ValueError("teacher_steps must be 1")
 
 
-def _teacher_prediction(model: DiT, ns: NoiseSchedule, x0: np.ndarray,
-                        x_t: np.ndarray, t: int, t_post: float, eps: np.ndarray,
-                        label, teacher_steps: int) -> Tensor:
-    if teacher_steps == 1 or t_post >= t:
-        # fast approximation: re-noise the same trajectory directly to t_post
-        x_post = noise_sample(x0, t_post, eps, ns)
-        return model.forward(x_post, t_post, label)
-    # expensive variant: chain DDIM transitions from t down to t_post
-    taus = np.linspace(t, t_post, teacher_steps + 1)
-    x = x_t
-    for j in range(teacher_steps):
-        pred = model.forward(x, float(taus[j]), label)
-        x = ddim_step(x, pred.data, float(taus[j]), float(taus[j + 1]), ns)
-    return model.forward(x, float(taus[-1]), label)
+def _noised_batch(images: np.ndarray, T: int, ns: NoiseSchedule,
+                  rng: np.random.Generator) -> tuple:
+    """Per sample, in batch order, draw t uniform in [1, T] and then eps.
+    Returns (t [B] ints, eps, x_t), each image noised to its own t."""
+    ts, eps = [], []
+    for x0 in images:
+        ts.append(int(rng.integers(1, T + 1)))
+        eps.append(rng.standard_normal(x0.shape).astype(np.float32))
+    x_t = np.stack([noise_sample(x0, t, e, ns) for x0, t, e in zip(images, ts, eps)])
+    return np.array(ts), np.stack(eps), x_t
 
 
 def feedback_train_step(model: DiT, fs: FeedbackState, ns: NoiseSchedule,
                         images: np.ndarray, labels: np.ndarray,
                         cfg: TrainConfig, rng: np.random.Generator,
                         opt: Adam, plan: InferencePlan | None = None) -> tuple:
-    """One batch of feedback training. Returns (recon, distill, total) floats.
+    """One batch of feedback training, as one student forward, one teacher
+    forward and one backward. Returns (recon, distill, total) floats.
 
     The "plan" training mode needs the inference plan whose t_post rule the
-    re-run and the teacher are conditioned on; the "t" mode ignores it.
+    re-run and the teacher are conditioned on; the "t" mode ignores it. The
+    teacher sees each sample's trajectory re-noised straight to its t_post.
     """
     if not model.frozen:
         raise RuntimeError("backbone must be frozen before feedback training")
     if cfg.tpost_mode_training == "plan" and plan is None:
         raise ValueError("tpost_mode_training='plan' needs an inference plan")
-    T = model.cfg.T
-    recon_terms, distill_terms = [], []
-    for x0, label in zip(images, labels):
-        t = int(rng.integers(1, T + 1))
-        eps = rng.standard_normal(x0.shape).astype(np.float32)
-        x_t = noise_sample(x0, t, eps, ns)
-        t_post = plan.t_post_at(t) if cfg.tpost_mode_training == "plan" else float(t)
-        teacher = _teacher_prediction(model, ns, x0, x_t, t, t_post, eps,
-                                      int(label), cfg.teacher_steps)
-        pred, _ = ilf_forward(model, fs, x_t, t, t_post, int(label))
-        recon_terms.append(mse(pred, Tensor(eps)))
-        distill_terms.append(mse(pred, teacher))
-
-    inv_b = 1.0 / len(recon_terms)
-    recon = _mean_terms(recon_terms) * inv_b
-    distill = _mean_terms(distill_terms) * inv_b
+    ts, eps, x_t = _noised_batch(images, model.cfg.T, ns, rng)
+    if cfg.tpost_mode_training == "plan":
+        t_post = np.array([plan.t_post_at(t) for t in ts])
+    else:
+        t_post = ts.astype(np.float64)
+    x_post = np.stack([noise_sample(x0, tp, e, ns) for x0, tp, e in zip(images, t_post, eps)])
+    teacher = model.forward(x_post, t_post, labels)
+    pred, _ = ilf_forward(model, fs, x_t, ts, t_post, labels)
+    recon = mse(pred, Tensor(eps))
+    distill = mse(pred, teacher)
     loss = recon * cfg.w_recon + distill * cfg.w_distill
     if not loss.is_finite():
         raise FloatingPointError("non-finite feedback training loss")
@@ -106,13 +98,6 @@ def feedback_train_step(model: DiT, fs: FeedbackState, ns: NoiseSchedule,
     backward(loss)
     opt.step()
     return recon.item(), distill.item(), loss.item()
-
-
-def _mean_terms(terms):
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total
 
 
 def _train_loop(params, dataset: Dataset, cfg, step_fn, on_checkpoint) -> list:
@@ -175,16 +160,10 @@ class BackboneTrainConfig:
 
 def backbone_train_step(model: DiT, ns: NoiseSchedule, images: np.ndarray,
                         labels: np.ndarray, rng: np.random.Generator, opt: Adam) -> float:
-    """One batch of noise-prediction training of the backbone. Returns the
-    batch loss."""
-    T = model.cfg.T
-    terms = []
-    for x0, label in zip(images, labels):
-        t = int(rng.integers(1, T + 1))
-        eps = rng.standard_normal(x0.shape).astype(np.float32)
-        x_t = noise_sample(x0, t, eps, ns)
-        terms.append(mse(model.forward(x_t, t, int(label)), Tensor(eps)))
-    loss = _mean_terms(terms) * (1.0 / len(terms))
+    """One batch of noise-prediction training of the backbone, as one forward
+    and one backward. Returns the batch loss."""
+    ts, eps, x_t = _noised_batch(images, model.cfg.T, ns, rng)
+    loss = mse(model.forward(x_t, ts, labels), Tensor(eps))
     if not loss.is_finite():
         raise FloatingPointError("non-finite backbone training loss")
     opt.zero_grad()

@@ -124,6 +124,19 @@ def test_matmul_batched_matches_loop():
     for h in range(3):
         assert np.allclose(got[h], matmul_oracle(a[h], b[h]), atol=1e-5)
 
+    # [B, L, K] @ [K, N]: a batch of token rows against one weight, whose
+    # gradient sums over every row of the batch in the weight's own shape
+    x = rng.normal(size=(3, 4, 5)).astype(np.float32)
+    w = t(rng.normal(size=(5, 2)), grad=True)
+    target = rng.normal(size=(3, 4, 2)).astype(np.float32)
+    got = matmul(t(x), w)
+    for h in range(3):
+        assert np.allclose(got.data[h], matmul_oracle(x[h], w.data), atol=1e-5)
+    backward(mse(got, t(target)))
+    assert w.grad.shape == (5, 2)
+    fd = finite_diff(lambda: mse64(matmul(t(x), w).data, target), w.data)
+    assert np.allclose(w.grad, fd, atol=2e-3)
+
 
 # ---------------------------------------------------------------------------
 # layer_norm
@@ -216,6 +229,12 @@ def test_attention_matches_loop_oracle():
     q, k, v = (rng.normal(size=(2, 2, 4)).astype(np.float32) for _ in range(3))
     out = scaled_dot_attention(t(q), t(k), t(v))
     assert np.allclose(out.data, attention_oracle(q, k, v), atol=1e-5)
+
+    # [B, H, L, Dh]: each sample attends within itself
+    q, k, v = (rng.normal(size=(3, 2, 5, 4)).astype(np.float32) for _ in range(3))
+    out = scaled_dot_attention(t(q), t(k), t(v))
+    for b in range(3):
+        assert np.allclose(out.data[b], attention_oracle(q[b], k[b], v[b]), atol=1e-5)
 
 
 def test_attention_shape_mismatch():
@@ -338,6 +357,20 @@ def test_silu_take_row_slice_gradients():
     fd = finite_diff(lambda: loss_tensor().item(), table.data)
     assert np.allclose(table.grad, fd, atol=2e-3)
     assert np.allclose(table.grad[[0, 1, 3, 4]], 0.0)
+
+    # a row per sample: repeated rows accumulate their gradients
+    table.grad = None
+    idx = np.array([2, 0, 2, 2])
+
+    def rows_loss():
+        rows = silu(take_row(table, idx))
+        return mean_all(mul(slice_last(rows, 1, 4), slice_last(rows, 1, 4)))
+
+    backward(rows_loss())
+    fd = finite_diff(lambda: rows_loss().item(), table.data)
+    assert np.allclose(table.grad, fd, atol=2e-3)
+    assert np.abs(table.grad[2]).max() > 0.1
+    assert np.allclose(table.grad[[1, 3, 4]], 0.0)
 
 
 def test_frozen_leaves_get_no_grad_and_no_tape():

@@ -198,8 +198,8 @@ def test_config_dataset_and_lr_checked_at_load(tmp_path, capsys):
     for section, key, value, says in (
             ("backbone", "channels", 3, "backbone.channels"),
             ("backbone", "n_classes", 9, "n_classes"),
-            ("backbone", "image_size", 4, "data/backbone"),
-            ("data", "seed", -1, "data/backbone"),
+            ("backbone", "image_size", 4, "backbone.image_size"),
+            ("data", "seed", -1, "data.seed"),
             ("backbone_train", "batch_size", 64, "backbone_train.batch_size"),
             ("ilf.train", "batch_size", 17, "ilf.train.batch_size"),
             ("backbone_train", "lr", -1, "backbone_train"),
@@ -214,6 +214,25 @@ def test_config_dataset_and_lr_checked_at_load(tmp_path, capsys):
     d["backbone_train"]["lr"] = 0  # a zero rate is legal
     d["backbone_train"]["batch_size"] = 16  # the whole 16-image set
     assert len(parse_run_config(d).dataset()) == 16
+
+
+def test_train_builds_the_dataset_once(tmp_path, monkeypatch):
+    # load checks the dataset and `train` trains on the one load built
+    import ditlab.config as config
+
+    calls = []
+    real = config.gen_shapes
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(config, "gen_shapes", counting)
+    d = tiny_config_dict(str(tmp_path / "run"))
+    d["backbone_train"]["iterations"] = 1
+    d["ilf"]["train"]["iterations"] = 1
+    assert cli.main(["train", write_config(tmp_path, d)]) == 0
+    assert len(calls) == 1
 
 
 def test_shipped_configs_load():

@@ -40,8 +40,9 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(tpost_mode_training="quarter")
-    with pytest.raises(ValueError):
-        TrainConfig(teacher_steps=0)
+    for steps in (0, 2):  # the teacher re-noises straight to t_post: one step only
+        with pytest.raises(ValueError):
+            TrainConfig(teacher_steps=steps)
 
 
 def test_zero_iterations_is_a_noop(setup):
@@ -131,16 +132,97 @@ def test_student_and_teacher_see_the_plan_t_post(setup, monkeypatch):
     feedback_train_step(model, fs, ns, images, labels, TrainConfig(batch_size=4),
                         np.random.default_rng(5), Adam(fs.params()), plan)
 
-    assert len(student) == len(teacher) == 4  # one teacher pass per sample
+    assert len(student) == len(teacher) == 1  # one batched pass of each
+    (t_seen, t_post), (x_teacher, t_teacher) = student[0], teacher[0]
+    assert len(t_seen) == len(t_post) == len(t_teacher) == len(x_teacher) == 4
     rng = np.random.default_rng(5)  # same t and eps draws
-    for x0, (t_seen, tp), (x_teacher, t_teacher) in zip(images, student, teacher):
+    for i, x0 in enumerate(images):
         t = int(rng.integers(1, T + 1))
         eps = rng.standard_normal(x0.shape).astype(np.float32)
         expect = max(t - (T / plan.S) * plan.m / n, 0.0)
-        assert t_seen == t
-        assert tp == pytest.approx(expect, abs=1e-9)
-        assert t_teacher == tp
-        assert np.array_equal(x_teacher, noise_sample(x0, tp, eps, ns))
+        assert t_seen[i] == t
+        assert t_post[i] == pytest.approx(expect, abs=1e-9)
+        assert t_teacher[i] == t_post[i]
+        assert np.array_equal(x_teacher[i], noise_sample(x0, t_post[i], eps, ns))
+
+
+def _assert_grads_match(params, want):
+    # the floor is float32 noise at the largest gradient's scale: some
+    # gradients (the key bias) are exactly zero in exact arithmetic
+    floor = 1e-6 * max(np.abs(g).max() for g in want.values())
+    for name, p in params.items():
+        np.testing.assert_allclose(p.grad, want[name], rtol=1e-5, atol=floor, err_msg=name)
+
+
+def test_batched_steps_equal_the_per_sample_reference(setup):
+    """Each step runs its batch as one forward and one backward. Its losses
+    and gradients equal the mean of per-image unbatched passes on the same t
+    and eps draws. The batch repeats class 1, whose table-row gradient must
+    sum the repeats; every weight gradient must sum the batch."""
+    from ditlab.autodiff import Tensor, backward, mse
+    from ditlab.feedback import ilf_forward
+    from ditlab.training import backbone_train_step
+
+    model, fs, ns, ds = setup
+    T = model.cfg.T
+    pick = [np.flatnonzero(ds.labels == c)[j] for c, j in ((1, 0), (3, 0), (1, 1), (0, 0), (1, 2))]
+    images, labels = ds.images[pick], ds.labels[pick]
+    inv_b = 1.0 / len(pick)
+
+    def draws(seed):
+        rng = np.random.default_rng(seed)
+        for x0, label in zip(images, labels):
+            t = int(rng.integers(1, T + 1))
+            eps = rng.standard_normal(x0.shape).astype(np.float32)
+            yield x0, int(label), t, eps, noise_sample(x0, t, eps, ns)
+
+    # backbone
+    params = model.named_params()
+    model.set_trainable(True)
+    loss = backbone_train_step(model, ns, images, labels, np.random.default_rng(5),
+                               Adam(params.values(), lr=0.0))
+    got = {k: p.grad for k, p in params.items()}
+    for p in params.values():
+        p.grad = None
+    terms = []
+    for _, label, t, eps, x_t in draws(5):
+        term = mse(model.forward(x_t, t, label), Tensor(eps))
+        backward(term * inv_b)
+        terms.append(term.item())
+    assert loss == pytest.approx(np.mean(terms), rel=1e-5)
+    assert np.any(params["cond.table"].grad[1] != 0)
+    want = {k: p.grad for k, p in params.items()}
+    for k, p in params.items():
+        p.grad = got[k]
+    _assert_grads_match(params, want)
+    model.set_trainable(False)
+
+    # feedback, at the plan's t_post
+    plan = make_plan(8, T, "rescaled", "skip_inner", (fs.loop_start, fs.loop_end),
+                     model.cfg.n_blocks)
+    named = fs.named_params()
+    recon, distill, _ = feedback_train_step(model, fs, ns, images, labels,
+                                            TrainConfig(batch_size=len(pick)),
+                                            np.random.default_rng(6),
+                                            Adam(named.values(), lr=0.0), plan)
+    got = {k: p.grad for k, p in named.items()}
+    for p in named.values():
+        p.grad = None
+    recons, distills = [], []
+    for x0, label, t, eps, x_t in draws(6):
+        tp = plan.t_post_at(t)
+        teacher = model.forward(noise_sample(x0, tp, eps, ns), tp, label)
+        pred, _ = ilf_forward(model, fs, x_t, t, tp, label)
+        r, d = mse(pred, Tensor(eps)), mse(pred, teacher)
+        backward((r + d) * inv_b)
+        recons.append(r.item())
+        distills.append(d.item())
+    assert recon == pytest.approx(np.mean(recons), rel=1e-5)
+    assert distill == pytest.approx(np.mean(distills), rel=1e-5)
+    want = {k: p.grad for k, p in named.items()}
+    for k, p in named.items():
+        p.grad = got[k]
+    _assert_grads_match(named, want)
 
 
 def test_plan_mode_needs_a_matching_plan(setup):
@@ -170,14 +252,6 @@ def test_undersized_dataset_rejected(setup):
                       n_classes=ds.n_classes, source="procedural")
     with pytest.raises(ValueError):
         train_feedback(model, fs, ns, ds_bad, TrainConfig(iterations=1, batch_size=2))
-
-
-def test_teacher_steps_variant_runs(setup):
-    model, fs, ns, ds = setup
-    curve = train_feedback(model, fs, ns, ds,
-                           TrainConfig(iterations=2, batch_size=2, teacher_steps=3, seed=6))
-    assert len(curve) == 2
-    assert all(np.isfinite(v) for row in curve for v in row)
 
 
 def test_checkpoint_callback_cadence(setup):
