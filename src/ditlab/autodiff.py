@@ -52,26 +52,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
     def __mul__(self, other):
         return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __neg__(self):
-        return mul(self, _wrap(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
 
 
 def _wrap(x) -> Tensor:
@@ -150,11 +132,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
-    if ad.ndim == 0 or bd.ndim == 0:
-        raise ValueError("matmul needs at least 1-d operands")
+    if ad.ndim == 0 or bd.ndim < 2:
+        raise ValueError("matmul needs an at least 1-d left and 2-d right operand")
     inner_a = ad.shape[-1]
-    inner_b = bd.shape[-2] if bd.ndim >= 2 else bd.shape[0]
-    if inner_a != inner_b:
+    if inner_a != bd.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
     if ad.ndim > 2 and bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2]:
         raise ValueError(f"matmul batch dims must match: {ad.shape} @ {bd.shape}")
@@ -172,12 +153,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = ad @ bd
 
     def vjp(g):
-        if ad.ndim == 1 and bd.ndim == 1:
-            return g * bd, g * ad
         if ad.ndim == 1:  # [K] @ [K,N] -> [N]
             return g @ np.swapaxes(bd, -1, -2), np.outer(ad, g)
-        if bd.ndim == 1:  # [M,K] @ [K] -> [M]
-            return np.outer(g, bd), np.swapaxes(ad, -1, -2) @ g
         return g @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ g
 
     return _make(out, (a, b), vjp)

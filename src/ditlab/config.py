@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from .analysis import BenchEntry
 from .data import SHAPES_MIN_SIZE, Dataset, gen_shapes, load_idx
 from .dit import BackboneConfig
-from .schedule import PlanConfig
 from .training import BackboneTrainConfig, TrainConfig
 
 
@@ -48,6 +47,16 @@ class IlfConfig:
     loop_start: int = 2
     loop_end: int = 4
     train: TrainConfig = field(default_factory=TrainConfig)
+
+
+@dataclass
+class PlanConfig:
+    """The `plan` section of a run config: what feedback sampling uses and
+    what feedback training conditions its t_post on."""
+    steps: int = 8
+    tpost_mode: str = "rescaled"
+    preset: str = "skip_inner"
+    orientation: str = "n_over_m"
 
 
 @dataclass

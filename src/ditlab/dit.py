@@ -264,13 +264,6 @@ class DiT:
         x = img.reshape(-1, c.channels, g, p, g, p).transpose(0, 2, 4, 1, 3, 5)
         return x.reshape(*lead, c.tokens, c.patch_dim)
 
-    def place_patches(self, patches: np.ndarray) -> np.ndarray:
-        """Inverse of extract_patches, on plain arrays."""
-        c = self.cfg
-        g, p = c.grid, c.patch_size
-        x = patches.reshape(g, g, c.channels, p, p)
-        return x.transpose(2, 0, 3, 1, 4).reshape(c.channels, c.image_size, c.image_size)
-
     def patchify(self, img) -> Tensor:
         """Image (array or constant Tensor) to projected tokens + positions."""
         data = img.data if isinstance(img, Tensor) else np.asarray(img, dtype=np.float32)

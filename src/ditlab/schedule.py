@@ -234,16 +234,6 @@ class InferencePlan:
         return min(max(tp, 0.0), t)
 
 
-@dataclass
-class PlanConfig:
-    """The `plan` section of a run config: what feedback sampling uses and
-    what feedback training conditions its t_post on."""
-    steps: int = 8
-    tpost_mode: str = "rescaled"
-    preset: str = "skip_inner"
-    orientation: str = "n_over_m"
-
-
 def make_plan(S: int, T: int, mode: str, preset: str, loop, n_blocks: int,
               orientation: str = "n_over_m") -> InferencePlan:
     b, e = loop

@@ -20,9 +20,7 @@ from .data import Dataset, batches
 from .dit import DiT
 from .feedback import FeedbackState, ilf_forward
 from .optim import Adam
-from .schedule import InferencePlan, NoiseSchedule, PlanConfig, make_plan, noise_sample
-
-TPOST_TRAINING_MODES = ("plan", "t")
+from .schedule import InferencePlan, NoiseSchedule, noise_sample
 
 
 @dataclass
@@ -33,7 +31,7 @@ class TrainConfig:
     w_recon: float = 1.0
     w_distill: float = 1.0
     seed: int = 0
-    tpost_mode_training: str = "plan"
+    tpost_mode_training: str = "plan"  # only "plan": t_post comes from the inference plan
     teacher_steps: int = 1  # only 1: the teacher re-noises straight to t_post
     checkpoint_interval: int = 0  # 0 disables periodic checkpoints
 
@@ -48,8 +46,8 @@ class TrainConfig:
             raise ValueError("loss weights must be >= 0")
         if self.w_recon == 0 and self.w_distill == 0:
             raise ValueError("at least one loss weight must be positive")
-        if self.tpost_mode_training not in TPOST_TRAINING_MODES:
-            raise ValueError(f"unknown tpost_mode_training {self.tpost_mode_training!r}")
+        if self.tpost_mode_training != "plan":
+            raise ValueError("tpost_mode_training must be 'plan'")
         if self.teacher_steps != 1:
             raise ValueError("teacher_steps must be 1")
 
@@ -69,23 +67,18 @@ def _noised_batch(images: np.ndarray, T: int, ns: NoiseSchedule,
 def feedback_train_step(model: DiT, fs: FeedbackState, ns: NoiseSchedule,
                         images: np.ndarray, labels: np.ndarray,
                         cfg: TrainConfig, rng: np.random.Generator,
-                        opt: Adam, plan: InferencePlan | None = None) -> tuple:
+                        opt: Adam, plan: InferencePlan) -> tuple:
     """One batch of feedback training, as one student forward, one teacher
     forward and one backward. Returns (recon, distill, total) floats.
 
-    The "plan" training mode needs the inference plan whose t_post rule the
-    re-run and the teacher are conditioned on; the "t" mode ignores it. The
-    teacher sees each sample's trajectory re-noised straight to its t_post.
+    The re-run and the teacher are conditioned on the t_post that `plan`'s
+    rule gives at each drawn t. The teacher sees each sample's trajectory
+    re-noised straight to its t_post.
     """
     if not model.frozen:
         raise RuntimeError("backbone must be frozen before feedback training")
-    if cfg.tpost_mode_training == "plan" and plan is None:
-        raise ValueError("tpost_mode_training='plan' needs an inference plan")
     ts, eps, x_t = _noised_batch(images, model.cfg.T, ns, rng)
-    if cfg.tpost_mode_training == "plan":
-        t_post = np.array([plan.t_post_at(t) for t in ts])
-    else:
-        t_post = ts.astype(np.float64)
+    t_post = np.array([plan.t_post_at(t) for t in ts])
     x_post = np.stack([noise_sample(x0, tp, e, ns) for x0, tp, e in zip(images, t_post, eps)])
     teacher = model.forward(x_post, t_post, labels)
     pred, _ = ilf_forward(model, fs, x_t, ts, t_post, labels)
@@ -117,22 +110,13 @@ def _train_loop(params, dataset: Dataset, cfg, step_fn, on_checkpoint) -> list:
 
 
 def train_feedback(model: DiT, fs: FeedbackState, ns: NoiseSchedule,
-                   dataset: Dataset, cfg: TrainConfig, on_checkpoint=None,
-                   plan: InferencePlan | None = None) -> list:
+                   dataset: Dataset, cfg: TrainConfig, on_checkpoint=None, *,
+                   plan: InferencePlan) -> list:
     """Run feedback training; returns the loss curve as (recon, distill, total)
-    rows, one per iteration.
-
-    `plan` is the inference plan the feedback will be sampled with; the
-    "plan" training mode falls back to the default run config's plan
-    (PlanConfig()) when it is None.
-    """
-    loop = (fs.loop_start, fs.loop_end)
-    if plan is None and cfg.tpost_mode_training == "plan":
-        d = PlanConfig()
-        plan = make_plan(d.steps, model.cfg.T, d.tpost_mode, d.preset, loop,
-                         model.cfg.n_blocks, d.orientation)
-    if plan is not None and ((plan.loop_start, plan.loop_end) != loop
-                             or plan.n_blocks != model.cfg.n_blocks):
+    rows, one per iteration. `plan` is the inference plan the feedback will
+    be sampled with, and must share the feedback state's loop."""
+    if ((plan.loop_start, plan.loop_end) != (fs.loop_start, fs.loop_end)
+            or plan.n_blocks != model.cfg.n_blocks):
         raise ValueError("plan loop bounds or block count disagree with the feedback state")
 
     def step(images, labels, rng, opt):

@@ -91,8 +91,9 @@ def test_criterion_03_freeze_invariant(trained_toy):
         model, ns, ds = trained_toy["model"], trained_toy["ns"], trained_toy["dataset"]
         before = backbone_hash(model)
         fs = make_feedback(model, *TOY_LOOP, np.random.default_rng(902))
+        plan = make_plan(8, model.cfg.T, "rescaled", "skip_inner", TOY_LOOP, model.cfg.n_blocks)
         train_feedback(model, fs, ns, ds,
-                       TrainConfig(batch_size=8, lr=1e-3, iterations=200, seed=31))
+                       TrainConfig(batch_size=8, lr=1e-3, iterations=200, seed=31), plan=plan)
         assert backbone_hash(model) == before
 
 

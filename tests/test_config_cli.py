@@ -301,6 +301,29 @@ def test_train_zero_iterations_keeps_init(tmp_path):
         assert np.array_equal(arrays[f"backbone.{k}"], p.data)
 
 
+def test_train_from_backbone_checkpoint_with_feedback_checkpoints(trained_dir, tmp_path):
+    """`backbone_checkpoint` skips backbone training and saves the loaded
+    backbone as it is; feedback training then matches the run that trained
+    that backbone, and writes a checkpoint every `checkpoint_interval` steps."""
+    out = tmp_path / "from_ckpt"
+    d = tiny_config_dict(str(out))
+    d["backbone_checkpoint"] = os.path.join(trained_dir["out"], "backbone.ckpt")
+    d["backbone_train"]["checkpoint_interval"] = 1
+    d["ilf"]["train"]["checkpoint_interval"] = 1
+    cli.cmd_train(write_config(tmp_path, d))
+
+    def read(path):
+        with open(path, "rb") as f:
+            return f.read()
+
+    assert read(out / "backbone.ckpt") == read(d["backbone_checkpoint"])
+    assert read(out / "backbone_loss.csv").decode().strip() == "step,loss"
+    assert read(out / "feedback.ckpt") == read(os.path.join(trained_dir["out"], "feedback.ckpt"))
+    assert sorted(p.name for p in out.glob("*_0*.ckpt")) == [
+        "feedback_000001.ckpt", "feedback_000002.ckpt", "feedback_000003.ckpt"]
+    assert read(out / "feedback_000003.ckpt") == read(out / "feedback.ckpt")
+
+
 # ---------------------------------------------------------------------------
 # sample command
 # ---------------------------------------------------------------------------

@@ -77,9 +77,10 @@ def test_patchify_rejects_wrong_size():
 def test_patch_extraction_roundtrip():
     model = DiT(BackboneConfig(), np.random.default_rng(0))
     rng = np.random.default_rng(1)
-    img = rng.normal(size=(1, 16, 16)).astype(np.float32)
-    patches = model.extract_patches(img)
-    assert np.array_equal(model.place_patches(patches), img)
+    imgs = rng.normal(size=(3, 1, 16, 16)).astype(np.float32)
+    patches = model.extract_patches(imgs)
+    assert patches.shape == (3, model.cfg.tokens, model.cfg.patch_dim)
+    assert np.array_equal(model.unpatchify(Tensor(patches)).data, imgs)
 
 
 def test_unpatchify_inverts_extract_on_tape():

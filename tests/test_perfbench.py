@@ -2,6 +2,8 @@
 patches public functions and methods from outside. These tests fail when a
 name it relies on is renamed or its reference check stops working."""
 
+import importlib
+import math
 import os
 import subprocess
 import sys
@@ -18,12 +20,16 @@ def test_selftest_catches_every_planted_fault():
     assert "selftest passed" in proc.stdout
 
 
-def test_tracer_installs_and_uninstalls():
+def _perfbench_module(name: str):
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     try:
-        from layertrace import Tracer
+        return importlib.import_module(name)
     finally:
         sys.path.pop(0)
+
+
+def test_tracer_installs_and_uninstalls():
+    Tracer = _perfbench_module("layertrace").Tracer
     from ditlab import optim, schedule, training
 
     originals = (schedule.sample, schedule.ddim_step, schedule.ilf_forward,
@@ -37,3 +43,15 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     assert (schedule.sample, schedule.ddim_step, schedule.ilf_forward,
             training.train_backbone, optim.Adam.step) == originals
+
+
+def test_training_calls_run():
+    """One iteration of each trainer, called as the benchmark calls them."""
+    run = _perfbench_module("run")
+    bench = run.Bench(run.WORKLOADS["toy_train"], 41)
+    done = []
+    backbone = bench.train_backbone(1, lambda: done.append("backbone"))
+    feedback = bench.train_feedback(1, lambda: done.append("feedback"))
+    assert done == ["backbone", "feedback"]
+    assert len(backbone) == 1 and math.isfinite(backbone[0])
+    assert len(feedback) == 1 and all(math.isfinite(v) for v in feedback[0])

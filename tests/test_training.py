@@ -31,6 +31,13 @@ def snapshot(params) -> str:
     return params_hash({k: p.data for k, p in params.items()})
 
 
+def plan_for(model, fs):
+    """The run config's default plan (8 steps, rescaled, skip_inner) on the
+    feedback state's loop."""
+    return make_plan(8, model.cfg.T, "rescaled", "skip_inner", (fs.loop_start, fs.loop_end),
+                     model.cfg.n_blocks)
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(w_recon=0.0, w_distill=0.0)
@@ -40,6 +47,8 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(tpost_mode_training="quarter")
+    with pytest.raises(ValueError):
+        TrainConfig(tpost_mode_training="t")
     for steps in (0, 2):  # the teacher re-noises straight to t_post: one step only
         with pytest.raises(ValueError):
             TrainConfig(teacher_steps=steps)
@@ -48,7 +57,8 @@ def test_train_config_validation():
 def test_zero_iterations_is_a_noop(setup):
     model, fs, ns, ds = setup
     before = snapshot(fs.named_params())
-    curve = train_feedback(model, fs, ns, ds, TrainConfig(iterations=0, batch_size=4))
+    curve = train_feedback(model, fs, ns, ds, TrainConfig(iterations=0, batch_size=4),
+                           plan=plan_for(model, fs))
     assert curve == []
     assert snapshot(fs.named_params()) == before
 
@@ -56,7 +66,8 @@ def test_zero_iterations_is_a_noop(setup):
 def test_curve_length_matches_iterations(setup):
     model, fs, ns, ds = setup
     curve = train_feedback(model, fs, ns, ds,
-                           TrainConfig(iterations=5, batch_size=4, lr=1e-3, seed=3))
+                           TrainConfig(iterations=5, batch_size=4, lr=1e-3, seed=3),
+                           plan=plan_for(model, fs))
     assert len(curve) == 5
     assert all(len(row) == 3 for row in curve)
 
@@ -65,7 +76,8 @@ def test_one_step_moves_feedback_not_backbone(setup):
     model, fs, ns, ds = setup
     backbone_before = snapshot(model.named_params())
     fs_before = snapshot(fs.named_params())
-    train_feedback(model, fs, ns, ds, TrainConfig(iterations=1, batch_size=4, lr=1e-2, seed=4))
+    train_feedback(model, fs, ns, ds, TrainConfig(iterations=1, batch_size=4, lr=1e-2, seed=4),
+                   plan=plan_for(model, fs))
     assert snapshot(model.named_params()) == backbone_before
     assert snapshot(fs.named_params()) != fs_before
 
@@ -77,21 +89,22 @@ def test_backbone_freeze_enforced(setup):
     opt = Adam(fs.params())
     with pytest.raises(RuntimeError):
         feedback_train_step(model, fs, ns, ds.images[:2], ds.labels[:2],
-                            TrainConfig(batch_size=2), rng, opt)
+                            TrainConfig(batch_size=2), rng, opt, plan_for(model, fs))
     model.set_trainable(False)
 
 
 def test_recon_only_fresh_feedback_equals_baseline_loss(setup):
-    """With s=0 and t_post forced to t (the 't' training mode), the student
+    """With s=0 and t_post forced to t (an identity plan), the student
     reduces to the frozen backbone, so the recon term equals the backbone's
     own noise-prediction error."""
     model, _, ns, ds = setup
     fs = make_feedback(model, 1, 2, np.random.default_rng(84))
-    cfg = TrainConfig(batch_size=4, w_distill=0.0, tpost_mode_training="t", lr=0.0)
+    cfg = TrainConfig(batch_size=4, w_distill=0.0, lr=0.0)
+    plan = make_plan(8, model.cfg.T, "identity", "skip_inner", (1, 2), model.cfg.n_blocks)
     rng = np.random.default_rng(5)
     opt = Adam(fs.params(), lr=0.0)
     recon, _, _ = feedback_train_step(model, fs, ns, ds.images[:4], ds.labels[:4],
-                                      cfg, rng, opt)
+                                      cfg, rng, opt, plan)
 
     from ditlab.autodiff import Tensor, mse
     from ditlab.schedule import noise_sample
@@ -227,10 +240,6 @@ def test_batched_steps_equal_the_per_sample_reference(setup):
 
 def test_plan_mode_needs_a_matching_plan(setup):
     model, fs, ns, ds = setup
-    with pytest.raises(ValueError):
-        feedback_train_step(model, fs, ns, ds.images[:2], ds.labels[:2],
-                            TrainConfig(batch_size=2), np.random.default_rng(0),
-                            Adam(fs.params()))
     other = make_plan(8, model.cfg.T, "rescaled", "all", (0, 1), model.cfg.n_blocks)
     with pytest.raises(ValueError):
         train_feedback(model, fs, ns, ds, TrainConfig(iterations=1, batch_size=2),
@@ -251,7 +260,8 @@ def test_undersized_dataset_rejected(setup):
     ds_bad = type(ds)(images=ds.images[:1], labels=ds.labels[:1],
                       n_classes=ds.n_classes, source="procedural")
     with pytest.raises(ValueError):
-        train_feedback(model, fs, ns, ds_bad, TrainConfig(iterations=1, batch_size=2))
+        train_feedback(model, fs, ns, ds_bad, TrainConfig(iterations=1, batch_size=2),
+                       plan=plan_for(model, fs))
 
 
 def test_checkpoint_callback_cadence(setup):
@@ -259,7 +269,7 @@ def test_checkpoint_callback_cadence(setup):
     seen = []
     train_feedback(model, fs, ns, ds,
                    TrainConfig(iterations=5, batch_size=2, checkpoint_interval=2, seed=7),
-                   on_checkpoint=seen.append)
+                   on_checkpoint=seen.append, plan=plan_for(model, fs))
     assert seen == [2, 4]
 
 
@@ -277,7 +287,8 @@ def test_training_deterministic(setup):
 
     def run():
         fs = make_feedback(model, 1, 2, np.random.default_rng(86))
-        train_feedback(model, fs, ns, ds, TrainConfig(iterations=3, batch_size=4, seed=9))
+        train_feedback(model, fs, ns, ds, TrainConfig(iterations=3, batch_size=4, seed=9),
+                       plan=plan_for(model, fs))
         return snapshot(fs.named_params())
 
     assert run() == run()
@@ -316,5 +327,5 @@ def test_no_tape_alive_at_checkpoint(setup):
     fs = make_feedback(model, 1, 2, np.random.default_rng(88))
     train_feedback(model, fs, ns, ds,
                    TrainConfig(iterations=2, batch_size=4, seed=10, checkpoint_interval=1),
-                   on_checkpoint=lambda step: seen.append(tape_nodes()))
+                   on_checkpoint=lambda step: seen.append(tape_nodes()), plan=plan_for(model, fs))
     assert seen == [before] * 4
