@@ -3,6 +3,8 @@
 On refresh steps the cached blocks run normally and their gated attention and
 MLP branch outputs are stored; on every other step those stored branch outputs
 are added straight onto the fresh hidden states, costing zero block forwards.
+Which steps refresh is `CacheConfig.refreshes`, read by the sampler through
+`InferencePlan.actions`.
 """
 
 from __future__ import annotations
@@ -83,8 +85,9 @@ def cached_run_block(model: DiT, idx: int, h: Tensor, cond: Tensor,
     """One block under caching. Returns (output, cost) with cost 1 on a
     refresh (full run, branches captured) and 0 on a hit."""
     if refresh:
-        out, attn, mlp = model.run_block(idx, h, cond, return_branches=True)
-        store.put(idx, attn.data.copy(), mlp.data.copy())
+        branches = []
+        out = model.blocks[idx].run(h, cond, branches)
+        store.put(idx, *(b.data.copy() for b in branches))
         return out, 1
     attn, mlp = store.get(idx)
     # same association order as the real block: (h + attn) + mlp
@@ -108,7 +111,7 @@ def cached_forward(model: DiT, x, t: float, class_id, cfg: CacheConfig,
             h, c = cached_run_block(model, i, h, cond, store, refresh)
             count += c
         else:
-            h = model.run_block(i, h, cond)
+            h = model.blocks[i].run(h, cond)
             count += 1
         if feats is not None:
             feats.append(h.data.copy())

@@ -183,7 +183,7 @@ def cmd_drift(config_path: str, out_dir: str) -> dict:
         with open(os.path.join(out_dir, f"{name}.pgm"), "wb") as f:
             f.write(analysis.heatmap_pgm(matrix))
 
-    hits = [k for k in range(plan.S) if not cache_cfg.refreshes(k)]
+    hits = [k for k, a in enumerate(plan.actions("cached", cache_cfg)) if a == "hit"]
     report = analysis.compare_drift(base_taps, cached_taps,
                                     block_subset=list(cache_cfg.blocks),
                                     step_subset=hits or None)

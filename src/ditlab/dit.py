@@ -5,9 +5,11 @@ modulated projection back to pixel space. The adaLN modulation MLPs and the
 final projection are zero-initialized, so a freshly built block is exactly
 the identity on tokens and a fresh model predicts zero noise. A full pass
 given a `feats` list appends a copy of each block's [tokens, dim] output to
-it, for drift analysis. Every piece also takes a leading batch axis: images
-[B, C, H, W] with per-sample timesteps and class ids [B], each sample
-modulated by its own condition, as in DiT (arXiv 2212.09748).
+it, for drift analysis; a block given a `branches` list appends its two
+gated residual branches to it, for caching. Every piece also takes a
+leading batch axis: images [B, C, H, W] with per-sample timesteps and class
+ids [B], each sample modulated by its own condition, as in DiT
+(arXiv 2212.09748).
 """
 
 from __future__ import annotations
@@ -141,10 +143,10 @@ class DiTBlock:
         merged = reshape(self._swap_heads(att), x.shape)
         return matmul(merged, self.wo) + self.bo
 
-    def run(self, h: Tensor, cond: Tensor, return_branches: bool = False):
+    def run(self, h: Tensor, cond: Tensor, branches: list | None = None) -> Tensor:
         """h: [tokens, dim] with cond [dim], or [B, tokens, dim] with cond
-        [B, dim]. Returns the block output, and optionally the two gated
-        residual branches (for caching)."""
+        [B, dim]. Returns the block output; given a `branches` list, appends
+        the two gated residual branches (attention, MLP) to it, for caching."""
         if h.shape[-1] != self.dim or cond.shape != (*h.shape[:-2], self.dim):
             raise ValueError(f"bad shapes for block: h {h.shape}, cond {cond.shape}")
         d = self.dim
@@ -156,10 +158,9 @@ class DiTBlock:
         h_mid = h + attn_branch
         x = modulate(layer_norm(h_mid, LN_EPS), shift_m, scale_m)
         mlp_branch = mul(matmul(gelu(matmul(x, self.w1) + self.b1), self.w2) + self.b2, gate_m)
-        out = h_mid + mlp_branch
-        if return_branches:
-            return out, attn_branch, mlp_branch
-        return out
+        if branches is not None:
+            branches += (attn_branch, mlp_branch)
+        return h_mid + mlp_branch
 
 
 class ConditionEmbedding:
@@ -285,11 +286,6 @@ class DiT:
         if bad.size:
             raise ValueError(f"t={bad.flat[0]} outside [0, {self.cfg.T}]")
         return self.cond(t, class_id)
-
-    def run_block(self, idx: int, h: Tensor, cond: Tensor, return_branches: bool = False):
-        if not (0 <= idx < self.cfg.n_blocks):
-            raise ValueError(f"block index {idx} out of range")
-        return self.blocks[idx].run(h, cond, return_branches)
 
     def final_layer(self, h: Tensor, cond: Tensor) -> Tensor:
         d = self.cfg.hidden_dim

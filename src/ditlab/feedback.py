@@ -87,7 +87,7 @@ def ilf_forward(model: DiT, fs: FeedbackState, x, t, t_post, class_id,
 
     f_prev = h  # stands in for the block-(b-1) output when b == 0
     for i in range(e + 1):
-        h = model.run_block(i, h, cond_t)
+        h = model.blocks[i].run(h, cond_t)
         count += 1
         if i == b - 1:
             f_prev = h
@@ -102,7 +102,7 @@ def ilf_forward(model: DiT, fs: FeedbackState, x, t, t_post, class_id,
     for i in range(b, n):
         if i <= e:
             cur = mul(f_feed, slice_last(fs.s, i - b, i - b + 1)) + cur
-        cur = model.run_block(i, cur, cond_post)
+        cur = model.blocks[i].run(cur, cond_post)
         count += 1
         if feats is not None:
             feats.append(cur.data.copy())

@@ -2,7 +2,9 @@
 
 Scheduler scalars are kept in float64; only image/feature payloads are f32.
 The denoising update is always keyed on the plan's own timestep t, never on
-the post-feedback condition time.
+the post-feedback condition time. `InferencePlan.actions` gives every step
+of a sampling kind its action (full, feedback, refresh or hit); the sampler
+runs those actions, and `block_cost` sums their costs.
 """
 
 from __future__ import annotations
@@ -195,19 +197,32 @@ class InferencePlan:
     def t_post(self, k: int) -> float:
         return self._t_post_rule(self.steps[k], k)
 
-    def block_cost(self, kind: str, cache_cfg=None) -> int:
-        """Closed-form block forwards per image when sampling this plan as
-        `kind`; kind='cached' needs the CacheConfig."""
-        n, S = self.n_blocks, self.S
+    def actions(self, kind: str, cache_cfg=None) -> tuple:
+        """What each step runs when this plan is sampled as `kind`: "full"
+        (every block once), "feedback" (the ILF pass), "refresh" (every block
+        once, the cached blocks' branches stored) or "hit" (the cached blocks
+        read from the store). The one place a kind's per-step work is decided;
+        kind='cached' needs the CacheConfig and a plan without feedback flags."""
         if kind == "baseline":
-            return baseline_block_cost(n, S)
+            return ("full",) * self.S
         if kind == "ilf":
-            return ilf_block_cost(n, S, self.m, self.feedback_steps)
-        if kind == "cached":
-            if cache_cfg is None:
-                raise ValueError("kind='cached' needs a CacheConfig")
-            return cached_block_cost(n, S, len(cache_cfg.blocks), cache_cfg.refresh_period)
-        raise ValueError(f"unknown kind {kind!r}")
+            return tuple("feedback" if f else "full" for f in self.feedback)
+        if kind != "cached":
+            raise ValueError(f"unknown kind {kind!r}")
+        if cache_cfg is None:
+            raise ValueError("kind='cached' needs a CacheConfig")
+        if any(self.feedback):
+            raise ValueError("cached sampling takes a plan without feedback flags")
+        return tuple("refresh" if cache_cfg.refreshes(k) else "hit" for k in range(self.S))
+
+    def block_cost(self, kind: str, cache_cfg=None) -> int:
+        """Block forwards per image when sampling this plan as `kind`: the sum
+        of its actions' costs."""
+        actions = self.actions(kind, cache_cfg)
+        n = self.n_blocks
+        c = len(cache_cfg.blocks) if cache_cfg is not None else 0
+        cost = {"full": n, "feedback": n + self.m + 1, "refresh": n, "hit": n - c}
+        return sum(cost[a] for a in actions)
 
     def t_post_at(self, t: float) -> float:
         """t_post for any t in (0, T]: the rule of the plan step k whose
@@ -256,30 +271,6 @@ def make_plain_plan(S: int, T: int, n_blocks: int) -> InferencePlan:
 
 
 # ---------------------------------------------------------------------------
-# closed-form block-forward costs
-# ---------------------------------------------------------------------------
-
-
-def baseline_block_cost(n: int, S: int) -> int:
-    return n * S
-
-
-def ilf_block_cost(n: int, S: int, m: int, feedback_steps: int) -> int:
-    return n * S + (m + 1) * feedback_steps
-
-
-def refresh_count(S: int, p: int) -> int:
-    """How many of S steps refresh under CacheConfig.refreshes: ceil(S / p)."""
-    if p < 1:
-        raise ValueError("refresh period must be >= 1")
-    return -(-S // p)
-
-
-def cached_block_cost(n: int, S: int, n_cached: int, p: int) -> int:
-    return (n - n_cached) * S + n_cached * refresh_count(S, p)
-
-
-# ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
 
@@ -301,11 +292,12 @@ class SampleResult:
         # for kind=cached, m holds the cached-block count and the
         # feedback_steps column carries the refresh-step count
         plan, cache_cfg = self.plan, self.cache_cfg
-        m = per_step = 0
+        m = 0
         if self.kind == "ilf":
-            m, per_step = plan.m, plan.feedback_steps
+            m = plan.m
         elif self.kind == "cached":
-            m, per_step = len(cache_cfg.blocks), refresh_count(plan.S, cache_cfg.refresh_period)
+            m = len(cache_cfg.blocks)
+        per_step = sum(a in ("feedback", "refresh") for a in plan.actions(self.kind, cache_cfg))
         return {
             "kind": self.kind,
             "S": plan.S,
@@ -323,39 +315,27 @@ COST_COLUMNS = ("kind", "S", "n", "m", "feedback_steps", "block_forwards", "wall
 
 def _step_function(kind: str, model: DiT, plan: InferencePlan, fs, cache_cfg):
     """Check what `kind` needs and resolve it once, into a step function
-    (x, k, label, store, feats) -> (eps, block forwards); a `feats` list
-    receives the step's block outputs."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
+    (x, k, label, store, feats) -> (eps, block forwards) that runs the plan's
+    action at step k; a `feats` list receives the step's block outputs."""
+    actions = plan.actions(kind, cache_cfg)
     if plan.n_blocks != model.cfg.n_blocks:
         raise ValueError("plan was built for a different block count")
-    n = model.cfg.n_blocks
-
-    def plain(x, k, label, store, feats):
-        return model.forward(x, plan.steps[k], label, feats), n
-
-    def feedback(x, k, label, store, feats):
-        if not plan.feedback[k]:
-            return plain(x, k, label, store, feats)
-        return ilf_forward(model, fs, x, plan.steps[k], plan.t_post(k), label, feats)
-
-    def cached(x, k, label, store, feats):
-        return cached_forward(model, x, plan.steps[k], label, cache_cfg, store,
-                              cache_cfg.refreshes(k), feats)
-
-    if kind == "baseline":
-        return plain
     if kind == "ilf":
         if fs is None:
             raise ValueError("kind='ilf' needs a FeedbackState")
         if (fs.loop_start, fs.loop_end) != (plan.loop_start, plan.loop_end):
             raise ValueError("plan loop bounds disagree with the FeedbackState")
-        return feedback
-    if cache_cfg is None:
-        raise ValueError("kind='cached' needs a CacheConfig")
-    if any(plan.feedback):
-        raise ValueError("cached sampling takes a plan without feedback flags")
-    return cached
+    n = model.cfg.n_blocks
+
+    def step(x, k, label, store, feats):
+        action, t = actions[k], plan.steps[k]
+        if action == "full":
+            return model.forward(x, t, label, feats), n
+        if action == "feedback":
+            return ilf_forward(model, fs, x, t, plan.t_post(k), label, feats)
+        return cached_forward(model, x, t, label, cache_cfg, store, action == "refresh", feats)
+
+    return step
 
 
 def sample(kind: str, model: DiT, ns: NoiseSchedule, plan: InferencePlan, class_id,

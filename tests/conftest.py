@@ -11,6 +11,31 @@ BACKBONE_ITERS = 3000
 FEEDBACK_ITERS = 2000
 
 
+# ---------------------------------------------------------------------------
+# closed-form block-forward costs per image: the oracle for
+# InferencePlan.block_cost and for the sampler's counted totals
+# ---------------------------------------------------------------------------
+
+
+def baseline_block_cost(n: int, S: int) -> int:
+    return n * S
+
+
+def ilf_block_cost(n: int, S: int, m: int, feedback_steps: int) -> int:
+    return n * S + (m + 1) * feedback_steps
+
+
+def refresh_count(S: int, p: int) -> int:
+    """How many of S steps refresh under CacheConfig.refreshes: ceil(S / p)."""
+    if p < 1:
+        raise ValueError("refresh period must be >= 1")
+    return -(-S // p)
+
+
+def cached_block_cost(n: int, S: int, n_cached: int, p: int) -> int:
+    return (n - n_cached) * S + n_cached * refresh_count(S, p)
+
+
 def tiny_config(**overrides) -> BackboneConfig:
     base = dict(image_size=8, patch_size=4, channels=1, hidden_dim=16,
                 n_heads=2, n_blocks=3, n_classes=4, T=1000)

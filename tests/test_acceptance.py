@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import TOY_LOOP
+from conftest import TOY_LOOP, baseline_block_cost, ilf_block_cost
 from ditlab import DiT, make_feedback
 from ditlab.analysis import BenchEntry, bench, compare_drift, toy_quality
 from ditlab.autodiff import Tensor, backward, mse
@@ -21,8 +21,6 @@ from ditlab.caching import CacheConfig
 from ditlab.checkpoint import params_hash
 from ditlab.feedback import ilf_forward
 from ditlab.schedule import (
-    baseline_block_cost,
-    ilf_block_cost,
     make_plain_plan,
     make_plan,
     noise_sample,
@@ -209,7 +207,9 @@ def test_criterion_07_caching_equivalences(trained_toy):
             h = Tensor(rng.normal(size=(model.cfg.tokens, model.cfg.hidden_dim))
                        .astype(np.float32))
             cond = model.embed_condition(512.0, 1)
-            out, attn, mlp = model.run_block(idx, h, cond, return_branches=True)
+            branches = []
+            out = model.blocks[idx].run(h, cond, branches)
+            attn, mlp = branches
             residual = out.data - (h.data + attn.data + mlp.data)
             assert np.abs(residual).max() <= 1e-6
 

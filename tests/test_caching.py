@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import randomize, tiny_config
+from conftest import cached_block_cost, randomize, refresh_count, tiny_config
 from ditlab import DiT
 from ditlab.autodiff import Tensor
 from ditlab.caching import (
@@ -11,7 +11,7 @@ from ditlab.caching import (
     cached_run_block,
     location_preset,
 )
-from ditlab.schedule import cached_block_cost, make_plain_plan, make_schedule, sample
+from ditlab.schedule import make_plain_plan, make_schedule, sample
 
 
 @pytest.fixture
@@ -61,7 +61,7 @@ def test_refresh_matches_plain_block(model):
     store = CacheStore()
     out, cost = cached_run_block(model, 1, h, cond, store, refresh=True)
     assert cost == 1
-    assert np.array_equal(out.data, model.run_block(1, h, cond).data)
+    assert np.array_equal(out.data, model.blocks[1].run(h, cond).data)
 
 
 def test_hit_after_refresh_identical_inputs(model):
@@ -85,7 +85,7 @@ def test_hit_with_new_input_applies_stale_deltas(model):
     hit, _ = cached_run_block(model, 1, h2, cond, store, refresh=False)
     attn, mlp = store.get(1)
     assert np.array_equal(hit.data, (h2.data + attn) + mlp)
-    fresh = model.run_block(1, h2, cond)
+    fresh = model.blocks[1].run(h2, cond)
     assert not np.array_equal(hit.data, fresh.data)  # drift source
 
 
@@ -148,8 +148,6 @@ def test_cached_sample_rejects_feedback_plan(model):
 
 def test_exhaustive_cost_grid():
     # closed form must hold for every small (n, S, c, p) combination
-    from ditlab.schedule import refresh_count
-
     for n in (2, 3, 5):
         for S in (1, 2, 5, 8):
             for c in range(n + 1):
@@ -167,8 +165,6 @@ def test_exhaustive_cost_grid():
 def test_refreshes_counts_refresh_count():
     # the rule the cached sampler and the drift command read is the one the
     # closed-form cost counts
-    from ditlab.schedule import refresh_count
-
     for S in range(1, 13):
         for p in range(1, 8):
             cfg = CacheConfig(blocks=(0,), refresh_period=p)

@@ -153,7 +153,7 @@ def test_fresh_block_is_identity(tiny_model):
     rng = np.random.default_rng(3)
     h = Tensor(rng.normal(size=(4, 16)).astype(np.float32))
     cond = Tensor(rng.normal(size=16).astype(np.float32))
-    out = tiny_model.run_block(0, h, cond)
+    out = tiny_model.blocks[0].run(h, cond)
     assert np.array_equal(out.data, h.data)
 
 
@@ -184,18 +184,17 @@ def test_random_block_matches_scalar_oracle(tiny_random_model):
 
 def test_block_rejects_bad_shapes(tiny_model):
     with pytest.raises(ValueError):
-        tiny_model.run_block(0, Tensor(np.zeros((4, 8), np.float32)),
-                             Tensor(np.zeros(16, np.float32)))
-    with pytest.raises(ValueError):
-        tiny_model.run_block(99, Tensor(np.zeros((4, 16), np.float32)),
-                             Tensor(np.zeros(16, np.float32)))
+        tiny_model.blocks[0].run(Tensor(np.zeros((4, 8), np.float32)),
+                                 Tensor(np.zeros(16, np.float32)))
 
 
 def test_residual_branch_decomposition(tiny_random_model):
     rng = np.random.default_rng(6)
     h = Tensor(rng.normal(size=(4, 16)).astype(np.float32))
     cond = Tensor(rng.normal(size=16).astype(np.float32))
-    out, attn, mlp = tiny_random_model.run_block(2, h, cond, return_branches=True)
+    branches = []
+    out = tiny_random_model.blocks[2].run(h, cond, branches)
+    attn, mlp = branches
     recomposed = h.data + attn.data + mlp.data
     assert np.abs(out.data - recomposed).max() <= 1e-6
 
@@ -235,7 +234,7 @@ def test_forward_equals_manual_block_composition(tiny_random_model):
     h = model.patchify(x)
     cond = model.embed_condition(t, cls)
     for i in range(model.cfg.n_blocks):
-        h = model.run_block(i, h, cond)
+        h = model.blocks[i].run(h, cond)
         assert np.array_equal(h.data, taps[i])
     manual = model.final_layer(h, cond)
     assert np.array_equal(manual.data, eps.data)

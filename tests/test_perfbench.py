@@ -55,3 +55,17 @@ def test_training_calls_run():
     assert done == ["backbone", "feedback"]
     assert len(backbone) == 1 and math.isfinite(backbone[0])
     assert len(feedback) == 1 and all(math.isfinite(v) for v in feedback[0])
+
+
+def test_correctness_checks_pass_after_feedback_training():
+    """The benchmark's held-out backbone loss (an unbatched DiT.forward) and
+    its feedback gradient check (an ilf_forward that records a tape, against
+    float64 central differences) report no problem on the toy_train set-up."""
+    run = _perfbench_module("run")
+    bench = run.Bench(run.WORKLOADS["toy_train"], 41)
+    bench.train_feedback(1, lambda: None)
+    assert math.isfinite(run.backbone_eval_loss(bench))
+    problems = []
+    worst = run.check_feedback_gradients(bench, problems)
+    assert problems == []
+    assert worst <= run.GRAD_REL_TOL

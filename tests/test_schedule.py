@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
 
-from conftest import randomize, tiny_config
+from conftest import (
+    baseline_block_cost,
+    cached_block_cost,
+    ilf_block_cost,
+    randomize,
+    refresh_count,
+    tiny_config,
+)
 from ditlab import CacheConfig, DiT, make_feedback
 from ditlab.schedule import (
     InferencePlan,
-    baseline_block_cost,
-    cached_block_cost,
     ddim_step,
-    ilf_block_cost,
     make_plain_plan,
     make_plan,
     make_schedule,
     noise_sample,
-    refresh_count,
     sample,
     spacing,
     t_post_annealed,
@@ -380,6 +383,60 @@ def test_sample_rejects_unknown_kind(sampler_setup):
         sample("mystery", model, ns, plan, 0, seed=1)
     with pytest.raises(ValueError):
         plan.block_cost("mystery")
+
+
+def test_sampler_runs_exactly_the_plan_actions(sampler_setup, monkeypatch):
+    """Each step of each kind runs the pass its action names: model.forward
+    for full, ilf_forward for feedback, cached_forward refreshing or not for
+    refresh and hit. The cost row counts the same actions."""
+    import ditlab.schedule as schedule
+
+    model, fs, ns = sampler_setup
+    n = model.cfg.n_blocks
+    seen = []
+    forward, ilf, cached = model.forward, schedule.ilf_forward, schedule.cached_forward
+
+    def spy_forward(*args, **kwargs):
+        seen.append("full")
+        return forward(*args, **kwargs)
+
+    def spy_ilf(*args, **kwargs):
+        seen.append("feedback")
+        return ilf(*args, **kwargs)
+
+    def spy_cached(model, x, t, label, cfg, store, refresh, feats=None):
+        seen.append("refresh" if refresh else "hit")
+        return cached(model, x, t, label, cfg, store, refresh, feats)
+
+    monkeypatch.setattr(model, "forward", spy_forward)
+    monkeypatch.setattr(schedule, "ilf_forward", spy_ilf)
+    monkeypatch.setattr(schedule, "cached_forward", spy_cached)
+
+    runs = []  # (kind, plan, sample kwargs, the expected actions)
+    for S in (1, 2, 5, 7):
+        plain = make_plain_plan(S, 1000, n)
+        runs.append(("baseline", plain, {}, ("full",) * S))
+        for preset in ("all", "alternating", "skip_inner", "first_only", "last_only"):
+            if S >= {"all": 1, "alternating": 2}.get(preset, 5):
+                plan = make_plan(S, 1000, "rescaled", preset, (1, 2), n)
+                runs.append(("ilf", plan, {"fs": fs},
+                             tuple("feedback" if f else "full" for f in plan.feedback)))
+        for p in (1, 2, 3):
+            runs.append(("cached", plain,
+                         {"cache_cfg": CacheConfig.from_preset("inner", 1, n, p)},
+                         tuple("hit" if k % p else "refresh" for k in range(S))))
+    for kind, plan, kw, expected in runs:
+        seen.clear()
+        res = sample(kind, model, ns, plan, 0, seed=3, **kw)
+        actions = plan.actions(kind, kw.get("cache_cfg"))
+        assert tuple(seen) == actions == expected, (kind, plan.S, kw)
+        assert res.cost_row()["feedback_steps"] == sum(
+            a in ("feedback", "refresh") for a in actions)
+        assert res.block_forwards == plan.block_cost(kind, kw.get("cache_cfg"))
+
+    feedback_plan = make_plan(5, 1000, "rescaled", "skip_inner", (1, 2), n)
+    with pytest.raises(ValueError):
+        feedback_plan.block_cost("cached", CacheConfig.from_preset("inner", 1, n, 2))
 
 
 def test_sample_records_no_tape_for_trainable_state(sampler_setup, monkeypatch):
