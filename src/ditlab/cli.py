@@ -164,10 +164,11 @@ def cmd_drift(config_path: str, out_dir: str) -> dict:
     ns = make_schedule(cfg.backbone.T)
     model = _load_backbone(cfg, os.path.join(cfg.out_dir, "backbone.ckpt"))
     plan, cache_cfg = cfg.sampling("cached")  # the plain plan, which baseline runs too
-    base = sample("baseline", model, ns, plan, cfg.sample.class_id, cfg.sample.seed, tap=True)
-    cached = sample("cached", model, ns, plan, cfg.sample.class_id, cfg.sample.seed,
-                    cache_cfg=cache_cfg, tap=True)
-    base_taps, cached_taps = base.taps[0], cached.taps[0]
+    base, cached = [], []  # one entry each: the one image's per-step block outputs
+    sample("baseline", model, ns, plan, cfg.sample.class_id, cfg.sample.seed, taps=base)
+    sample("cached", model, ns, plan, cfg.sample.class_id, cfg.sample.seed,
+           cache_cfg=cache_cfg, taps=cached)
+    base_taps, cached_taps = base[0], cached[0]
 
     time_pair = analysis.normalize_pair(
         analysis.drift_over_time(base_taps), analysis.drift_over_time(cached_taps),

@@ -199,14 +199,23 @@ def _check_builds(cfg: RunConfig):
     """Build each plan and cache config the commands build from `cfg`:
     those of every sampling kind, and every bench entry's at the width it
     runs at (mock_n when set). A procedural dataset is built too; IDX files
-    are read only by `train`."""
+    are read only by `train`. Also refuses a negative run or sample seed,
+    and a real bench's ilf entry whose loop is not the ilf loop."""
+    for key, seed in (("seed", cfg.seed), ("sample.seed", cfg.sample.seed)):
+        if seed < 0:
+            raise ConfigError(f"{key}={seed} must be >= 0")
     if cfg.data.source == "procedural":
         _built("data/backbone", cfg.dataset)
     for kind, section in (("baseline", "plan"), ("ilf", "plan/ilf"), ("cached", "cache")):
         _built(section, cfg.sampling, kind)
     width = cfg.backbone.n_blocks if cfg.bench.mock_n is None else cfg.bench.mock_n
+    ilf_loop = (cfg.ilf.loop_start, cfg.ilf.loop_end)
     for i, entry in enumerate(cfg.bench.entries):
         _built(f"bench.entries[{i}]", entry.build, cfg.backbone.T, width)
+        # a real bench samples every ilf entry with the one trained feedback state
+        if cfg.bench.mock_n is None and entry.kind == "ilf" and entry.loop != ilf_loop:
+            raise ConfigError(f"bench.entries[{i}].loop {list(entry.loop)} is not the ilf "
+                              f"loop {list(ilf_loop)} that the feedback state is trained for")
     class_id = cfg.sample.class_id
     if class_id is not None and not (0 <= class_id < cfg.backbone.n_classes):
         raise ConfigError("sample.class_id out of range")

@@ -1,7 +1,10 @@
 """A small class-conditional diffusion transformer.
 
 Patchify -> token embedding -> N adaLN-Zero transformer blocks -> final
-modulated projection back to pixel space. The adaLN modulation MLPs and the
+modulated projection back to pixel space. Every block and the final layer
+are modulated by one condition, which `DiT.embed_condition` builds from
+sinusoidal features of a real-valued timestep, through a 2-layer MLP, plus
+the class id's row of a learned table. The adaLN modulation MLPs and the
 final projection are zero-initialized, so a freshly built block is exactly
 the identity on tokens and a fresh model predicts zero noise. A full pass
 given a `feats` list appends a copy of each block's [tokens, dim] output to
@@ -163,48 +166,16 @@ class DiTBlock:
         return h_mid + mlp_branch
 
 
-class ConditionEmbedding:
-    """Sinusoidal time features through a 2-layer MLP, plus a class table.
-
-    Accepts non-integer timesteps, and per-sample arrays of timesteps and
-    class ids ([B] -> [B, dim]). The class table's last row is never read.
-    It stays because every later weight is drawn from the same init RNG
-    stream: dropping it would change all of them and void saved checkpoints.
-    """
-
-    def __init__(self, dim: int, n_classes: int, rng: np.random.Generator):
-        self.dim = dim
-        self.n_classes = n_classes
-        self.t_w1 = _param(_xavier(rng, dim, dim))
-        self.t_b1 = _zeros(dim)
-        self.t_w2 = _param(_xavier(rng, dim, dim))
-        self.t_b2 = _zeros(dim)
-        # n_classes + 1 rows: the unread last row keeps the init RNG stream
-        self.table = _param(rng.normal(0.0, 0.02, size=(n_classes + 1, dim)).astype(np.float32))
-
-    def named_params(self, prefix: str = "") -> dict:
-        names = ("t_w1", "t_b1", "t_w2", "t_b2", "table")
-        return {f"{prefix}{n}": getattr(self, n) for n in names}
-
-    def sinusoid(self, t) -> np.ndarray:
-        """Interleaved sin/cos features of a real-valued timestep [dim], or of
-        an array of them [..., dim]."""
-        half = self.dim // 2
-        freqs = np.exp(-math.log(10000.0) * np.arange(half) / half)
-        args = np.asarray(t, dtype=np.float64)[..., None] * freqs
-        feats = np.empty((*args.shape[:-1], self.dim), dtype=np.float32)
-        feats[..., 0::2] = np.sin(args)
-        feats[..., 1::2] = np.cos(args)
-        return feats
-
-    def __call__(self, t, class_id) -> Tensor:
-        ids = np.asarray(class_id)
-        bad = ids[(ids < 0) | (ids >= self.n_classes)]
-        if bad.size:
-            raise ValueError(f"class_id {bad.flat[0]} out of range [0, {self.n_classes})")
-        feats = Tensor(self.sinusoid(t))
-        t_emb = matmul(silu(matmul(feats, self.t_w1) + self.t_b1), self.t_w2) + self.t_b2
-        return t_emb + take_row(self.table, ids.astype(np.intp))
+def sinusoid(t, dim: int) -> np.ndarray:
+    """Interleaved sin/cos features [dim] of a real-valued timestep, or
+    [..., dim] of an array of them."""
+    half = dim // 2
+    freqs = np.exp(-math.log(10000.0) * np.arange(half) / half)
+    args = np.asarray(t, dtype=np.float64)[..., None] * freqs
+    feats = np.empty((*args.shape[:-1], dim), dtype=np.float32)
+    feats[..., 0::2] = np.sin(args)
+    feats[..., 1::2] = np.cos(args)
+    return feats
 
 
 class DiT:
@@ -214,7 +185,14 @@ class DiT:
         self.patch_w = _param(_xavier(rng, cfg.patch_dim, d))
         self.patch_b = _zeros(d)
         self.pos = _param(rng.normal(0.0, 0.02, size=(cfg.tokens, d)).astype(np.float32))
-        self.cond = ConditionEmbedding(d, cfg.n_classes, rng)
+        # condition embedding. The class table's last row is never read, but
+        # dropping it would shift the init RNG stream and every later weight
+        self.t_w1 = _param(_xavier(rng, d, d))
+        self.t_b1 = _zeros(d)
+        self.t_w2 = _param(_xavier(rng, d, d))
+        self.t_b2 = _zeros(d)
+        self.class_table = _param(
+            rng.normal(0.0, 0.02, size=(cfg.n_classes + 1, d)).astype(np.float32))
         self.blocks = [DiTBlock(d, cfg.n_heads, rng, cfg.mlp_ratio) for _ in range(cfg.n_blocks)]
         # zero-init: a fresh model predicts exactly zero noise
         self.final_mod_w = _zeros(d, 2 * d)
@@ -229,8 +207,12 @@ class DiT:
             "patch_w": self.patch_w,
             "patch_b": self.patch_b,
             "pos": self.pos,
+            "cond.t_w1": self.t_w1,
+            "cond.t_b1": self.t_b1,
+            "cond.t_w2": self.t_w2,
+            "cond.t_b2": self.t_b2,
+            "cond.table": self.class_table,
         }
-        out.update(self.cond.named_params("cond."))
         for i, blk in enumerate(self.blocks):
             out.update(blk.named_params(f"blocks.{i}."))
         out.update({
@@ -279,13 +261,21 @@ class DiT:
         return reshape(x, (*lead, c.channels, c.image_size, c.image_size))
 
     def embed_condition(self, t, class_id) -> Tensor:
-        """cond [dim] of a timestep and a class id, or [B, dim] of per-sample
-        arrays of both."""
+        """cond [dim] of a real-valued timestep and a class id, or [B, dim] of
+        per-sample arrays of both: the time features through the MLP, plus
+        the class's row of the table."""
+        c = self.cfg
         t = np.asarray(t, dtype=np.float64)
-        bad = t[~((0 <= t) & (t <= self.cfg.T))]
+        bad = t[~((0 <= t) & (t <= c.T))]
         if bad.size:
-            raise ValueError(f"t={bad.flat[0]} outside [0, {self.cfg.T}]")
-        return self.cond(t, class_id)
+            raise ValueError(f"t={bad.flat[0]} outside [0, {c.T}]")
+        ids = np.asarray(class_id)
+        bad = ids[(ids < 0) | (ids >= c.n_classes)]
+        if bad.size:
+            raise ValueError(f"class_id {bad.flat[0]} out of range [0, {c.n_classes})")
+        feats = Tensor(sinusoid(t, c.hidden_dim))
+        t_emb = matmul(silu(matmul(feats, self.t_w1) + self.t_b1), self.t_w2) + self.t_b2
+        return t_emb + take_row(self.class_table, ids.astype(np.intp))
 
     def final_layer(self, h: Tensor, cond: Tensor) -> Tensor:
         d = self.cfg.hidden_dim

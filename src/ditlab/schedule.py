@@ -2,9 +2,11 @@
 
 Scheduler scalars are kept in float64; only image/feature payloads are f32.
 The denoising update is always keyed on the plan's own timestep t, never on
-the post-feedback condition time. `InferencePlan.actions` gives every step
-of a sampling kind its action (full, feedback, refresh or hit); the sampler
-runs those actions, and `block_cost` sums their costs.
+the post-feedback condition time. `InferencePlan.t_post_at` is a plan's
+one rule for that condition time; the sampler and the feedback trainer
+both read it. `InferencePlan.actions` gives every step of a sampling kind
+its action (full, feedback, refresh or hit); the sampler runs those
+actions, and `block_cost` sums their costs.
 """
 
 from __future__ import annotations
@@ -185,17 +187,14 @@ class InferencePlan:
     def m(self) -> int:
         return self.loop_end - self.loop_start + 1
 
-    @property
-    def feedback_steps(self) -> int:
-        return sum(self.feedback)
-
     def gap(self, k: int) -> float:
         """Gap to the next scheduled step; the final step's gap reaches 0."""
         nxt = self.steps[k + 1] if k + 1 < self.S else 0.0
         return self.steps[k] - nxt
 
     def t_post(self, k: int) -> float:
-        return self._t_post_rule(self.steps[k], k)
+        """The condition time after feedback at plan step k."""
+        return self.t_post_at(self.steps[k])
 
     def actions(self, kind: str, cache_cfg=None) -> tuple:
         """What each step runs when this plan is sampled as `kind`: "full"
@@ -225,15 +224,13 @@ class InferencePlan:
         return sum(cost[a] for a in actions)
 
     def t_post_at(self, t: float) -> float:
-        """t_post for any t in (0, T]: the rule of the plan step k whose
-        interval (t_{k+1}, t_k] holds t, at that step's gap. At a plan step
-        it equals t_post(k); the feedback trainer conditions on it."""
+        """The plan's one t_post rule, for any t in (0, T]: the tpost_mode
+        rule at the gap of the plan step k whose interval (t_{k+1}, t_k]
+        holds t. The sampler takes it at plan steps, through t_post(k); the
+        feedback trainer conditions on it at every drawn t."""
         if not (0 < t <= self.T):
             raise ValueError(f"t={t} outside (0, {self.T}]")
         k = sum(s >= t for s in self.steps) - 1
-        return self._t_post_rule(t, k)
-
-    def _t_post_rule(self, t: float, k: int) -> float:
         i = self.gap(k)
         mode = self.tpost_mode
         if mode == "annealed" and k == 0:
@@ -285,8 +282,6 @@ class SampleResult:
     plan: InferencePlan
     cache_cfg: CacheConfig | None
     seed: int
-    ddim_pairs: list            # (t, t_next) actually fed to the ddim update
-    taps: list | None = None    # per sample, per step: the n_blocks block outputs
 
     def cost_row(self) -> dict:
         # for kind=cached, m holds the cached-block count and the
@@ -340,19 +335,20 @@ def _step_function(kind: str, model: DiT, plan: InferencePlan, fs, cache_cfg):
 
 def sample(kind: str, model: DiT, ns: NoiseSchedule, plan: InferencePlan, class_id,
            seed: int, fs: FeedbackState | None = None, cache_cfg=None,
-           n_samples: int = 1, tap: bool = False) -> SampleResult:
+           n_samples: int = 1, taps: list | None = None) -> SampleResult:
     """Run one sampling configuration and account for every block forward.
 
     No gradient tape is recorded, even if the model or feedback state is
     still trainable. `block_forwards` is the counted total per image; it
     equals plan.block_cost(kind, cache_cfg). class_id=None gives image j
-    the class j % n_classes.
+    the class j % n_classes. Given a `taps` list, appends one entry per
+    image to it: per plan step, the list of that step's block outputs
+    [tokens, dim], as a forward's `feats` list receives them.
     """
     step = _step_function(kind, model, plan, fs, cache_cfg)
     cfg = model.cfg
     shape = (cfg.channels, cfg.image_size, cfg.image_size)
-    images, labels, taps = [], [], []
-    ddim_pairs = []
+    images, labels = [], []
     per_image_blocks = None
 
     t0 = time.perf_counter()
@@ -367,10 +363,8 @@ def sample(kind: str, model: DiT, ns: NoiseSchedule, plan: InferencePlan, class_
             for k in range(plan.S):
                 t = plan.steps[k]
                 t_next = plan.steps[k + 1] if k + 1 < plan.S else 0.0
-                feats = [] if tap else None
+                feats = [] if taps is not None else None
                 eps, c = step(x, k, label, store, feats)
-                if j == 0:
-                    ddim_pairs.append((t, t_next))
                 x = ddim_step(x, eps.data, t, t_next, ns)
                 count += c
                 sample_taps.append(feats)
@@ -380,7 +374,8 @@ def sample(kind: str, model: DiT, ns: NoiseSchedule, plan: InferencePlan, class_
                 raise AssertionError("block-forward count varied across samples")
             images.append(x)
             labels.append(label)
-            taps.append(sample_taps)
+            if taps is not None:
+                taps.append(sample_taps)
     wall_ms = (time.perf_counter() - t0) * 1000.0 / n_samples
 
     return SampleResult(
@@ -392,6 +387,4 @@ def sample(kind: str, model: DiT, ns: NoiseSchedule, plan: InferencePlan, class_
         plan=plan,
         cache_cfg=cache_cfg,
         seed=seed,
-        ddim_pairs=ddim_pairs,
-        taps=taps if tap else None,
     )

@@ -24,24 +24,39 @@ from .schedule import InferencePlan, NoiseSchedule, noise_sample
 
 
 @dataclass
-class TrainConfig:
+class TrainLoopConfig:
+    """What `_train_loop` reads, for either trainer. Each trainer's config
+    extends it and sets its own `iterations` default."""
     batch_size: int = 16
     lr: float = 1e-3
-    iterations: int = 2000
-    w_recon: float = 1.0
-    w_distill: float = 1.0
+    iterations: int = 0
     seed: int = 0
-    tpost_mode_training: str = "plan"  # only "plan": t_post comes from the inference plan
-    teacher_steps: int = 1  # only 1: the teacher re-noises straight to t_post
     checkpoint_interval: int = 0  # 0 disables periodic checkpoints
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
-        if self.lr < 0:
-            raise ValueError("lr must be >= 0")
+        for key in ("lr", "iterations", "seed", "checkpoint_interval"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key}={getattr(self, key)} must be >= 0")
+
+
+@dataclass
+class BackboneTrainConfig(TrainLoopConfig):
+    iterations: int = 3000
+
+
+@dataclass
+class TrainConfig(TrainLoopConfig):
+    """Feedback training: the loop's fields plus the loss weights."""
+    iterations: int = 2000
+    w_recon: float = 1.0
+    w_distill: float = 1.0
+    tpost_mode_training: str = "plan"  # only "plan": t_post comes from the inference plan
+    teacher_steps: int = 1  # only 1: the teacher re-noises straight to t_post
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.w_recon < 0 or self.w_distill < 0:
             raise ValueError("loss weights must be >= 0")
         if self.w_recon == 0 and self.w_distill == 0:
@@ -85,15 +100,20 @@ def feedback_train_step(model: DiT, fs: FeedbackState, ns: NoiseSchedule,
     recon = mse(pred, Tensor(eps))
     distill = mse(pred, teacher)
     loss = recon * cfg.w_recon + distill * cfg.w_distill
-    if not loss.is_finite():
-        raise FloatingPointError("non-finite feedback training loss")
-    opt.zero_grad()
-    backward(loss)
-    opt.step()
+    _descend(loss, opt, "feedback")
     return recon.item(), distill.item(), loss.item()
 
 
-def _train_loop(params, dataset: Dataset, cfg, step_fn, on_checkpoint) -> list:
+def _descend(loss: Tensor, opt: Adam, what: str):
+    """One Adam step down a batch loss, refused if the loss is not finite."""
+    if not loss.is_finite():
+        raise FloatingPointError(f"non-finite {what} training loss")
+    opt.zero_grad()
+    backward(loss)
+    opt.step()
+
+
+def _train_loop(params, dataset: Dataset, cfg: TrainLoopConfig, step_fn, on_checkpoint) -> list:
     """The loop both trainers share: Adam over `params`, draws from rng
     [seed, 17], batches from rng [seed, 31], and one step_fn(images, labels,
     rng, opt) per iteration, whose tape is gone before the checkpoint callback."""
@@ -125,34 +145,13 @@ def train_feedback(model: DiT, fs: FeedbackState, ns: NoiseSchedule,
     return _train_loop(fs.params(), dataset, cfg, step, on_checkpoint)
 
 
-@dataclass
-class BackboneTrainConfig:
-    batch_size: int = 16
-    lr: float = 1e-3
-    iterations: int = 3000
-    seed: int = 0
-    checkpoint_interval: int = 0
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
-        if self.lr < 0:
-            raise ValueError("lr must be >= 0")
-
-
 def backbone_train_step(model: DiT, ns: NoiseSchedule, images: np.ndarray,
                         labels: np.ndarray, rng: np.random.Generator, opt: Adam) -> float:
     """One batch of noise-prediction training of the backbone, as one forward
     and one backward. Returns the batch loss."""
     ts, eps, x_t = _noised_batch(images, model.cfg.T, ns, rng)
     loss = mse(model.forward(x_t, ts, labels), Tensor(eps))
-    if not loss.is_finite():
-        raise FloatingPointError("non-finite backbone training loss")
-    opt.zero_grad()
-    backward(loss)
-    opt.step()
+    _descend(loss, opt, "backbone")
     return loss.item()
 
 

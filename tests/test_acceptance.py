@@ -220,11 +220,11 @@ def test_criterion_08_drift_direction(trained_toy):
         n = model.cfg.n_blocks
         plan = make_plain_plan(20, model.cfg.T, n)
         cache_cfg = CacheConfig.from_preset("inner", 4, n, refresh_period=2)
-        base = sample("baseline", model, ns, plan, 0, seed=55, tap=True)
-        cached = sample("cached", model, ns, plan, 0, seed=55,
-                        cache_cfg=cache_cfg, tap=True)
+        base, cached = [], []
+        sample("baseline", model, ns, plan, 0, seed=55, taps=base)
+        sample("cached", model, ns, plan, 0, seed=55, cache_cfg=cache_cfg, taps=cached)
         hits = [k for k in range(plan.S) if k % cache_cfg.refresh_period != 0]
-        report = compare_drift(base.taps[0], cached.taps[0],
+        report = compare_drift(base[0], cached[0],
                                block_subset=list(cache_cfg.blocks),
                                step_subset=hits)
         assert not report.degenerate

@@ -216,6 +216,39 @@ def test_config_dataset_and_lr_checked_at_load(tmp_path, capsys):
     assert len(parse_run_config(d).dataset()) == 16
 
 
+def test_negative_seeds_and_intervals_rejected_at_load(tmp_path, capsys):
+    # each used to pass load: a negative seed failed at its first RNG, after
+    # the backbone had trained for ilf.train.seed, with a message naming no
+    # key; a negative checkpoint_interval checkpointed every |interval| steps
+    for path, value, says in (("seed", -1, ": seed=-1"),
+                              ("sample.seed", -1, "sample.seed=-1"),
+                              ("backbone_train.seed", -1, "'backbone_train': seed=-1"),
+                              ("ilf.train.seed", -1, "'ilf.train': seed=-1"),
+                              ("backbone_train.checkpoint_interval", -2,
+                               "'backbone_train': checkpoint_interval=-2"),
+                              ("ilf.train.checkpoint_interval", -2,
+                               "'ilf.train': checkpoint_interval=-2")):
+        d = tiny_config_dict(str(tmp_path))
+        *sections, key = path.split(".")
+        owner = d
+        for part in sections:
+            owner = owner[part]
+        owner[key] = value
+        _one_error_line_and_no_output(capsys, tmp_path, d, says=says)
+
+
+def test_real_bench_ilf_entry_needs_the_ilf_loop(tmp_path, capsys):
+    # a real bench used to load both checkpoints and then fail on the loop
+    d = tiny_config_dict(str(tmp_path))
+    d["bench"] = {"mock_n": None, "entries": [{"kind": "ilf", "steps": 5, "loop": [0, 2]}]}
+    _one_error_line_and_no_output(capsys, tmp_path, d, says="bench.entries[0].loop")
+    d["bench"]["entries"][0]["loop"] = [1, 2]
+    assert parse_run_config(d).bench.entries[0].loop == (1, 2)
+    d["bench"]["mock_n"] = 28  # a mock bench takes any loop that fits its width
+    d["bench"]["entries"][0]["loop"] = [0, 5]
+    assert parse_run_config(d).bench.entries[0].loop == (0, 5)
+
+
 def test_train_builds_the_dataset_once(tmp_path, monkeypatch):
     # load checks the dataset and `train` trains on the one load built
     import ditlab.config as config

@@ -4,7 +4,7 @@ import pytest
 from conftest import randomize, tiny_config
 from ditlab import BackboneConfig, DiT
 from ditlab.autodiff import Tensor
-from ditlab.dit import LN_EPS
+from ditlab.dit import LN_EPS, sinusoid
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +109,7 @@ def test_embed_fractional_t_distinct(tiny_model):
 
 
 def test_sinusoid_pattern_at_zero(tiny_model):
-    feats = tiny_model.cond.sinusoid(0.0)
+    feats = sinusoid(0.0, tiny_model.cfg.hidden_dim)
     assert np.array_equal(feats, np.tile([0.0, 1.0], tiny_model.cfg.hidden_dim // 2)
                           .astype(np.float32))
 
@@ -137,9 +137,9 @@ def test_class_table_permutation_permutes_outputs(tiny_random_model):
     model = tiny_random_model
     e2 = model.embed_condition(10.0, 2).data.copy()
     e3 = model.embed_condition(10.0, 3).data.copy()
-    rows = model.cond.table.data.copy()
+    rows = model.class_table.data.copy()
     rows[[2, 3]] = rows[[3, 2]]
-    model.cond.table.data = rows
+    model.class_table.data = rows
     assert np.array_equal(model.embed_condition(10.0, 2).data, e3)
     assert np.array_equal(model.embed_condition(10.0, 3).data, e2)
 

@@ -182,15 +182,15 @@ def test_t_post_annealed_values():
 
 def test_preset_skip_inner_counts():
     plan10 = make_plan(10, 1000, "rescaled", "skip_inner", (8, 19), 28)
-    assert plan10.feedback_steps == 4
+    assert sum(plan10.feedback) == 4
     assert [k for k, f in enumerate(plan10.feedback, start=1) if f] == [1, 2, 9, 10]
     plan12 = make_plan(12, 1000, "rescaled", "skip_inner", (8, 19), 28)
-    assert plan12.feedback_steps == 4
+    assert sum(plan12.feedback) == 4
     assert sum(not f for f in plan12.feedback[2:10]) == 8  # middle 8 skipped
 
 
 def test_preset_all_and_alternating():
-    assert make_plan(6, 1000, "uniform", "all", (0, 1), 4).feedback_steps == 6
+    assert sum(make_plan(6, 1000, "uniform", "all", (0, 1), 4).feedback) == 6
     alt = make_plan(6, 1000, "uniform", "alternating", (0, 1), 4)
     assert alt.feedback == (True, False, True, False, True, False)
 
@@ -301,7 +301,7 @@ def test_sample_deterministic_and_counts(sampler_setup):
     b = sample("ilf", model, ns, plan, 1, seed=5, fs=fs, n_samples=2)
     assert np.array_equal(a.images, b.images)
     n, m = model.cfg.n_blocks, fs.m
-    assert a.block_forwards == ilf_block_cost(n, 5, m, plan.feedback_steps)
+    assert a.block_forwards == ilf_block_cost(n, 5, m, sum(plan.feedback))
     # the counted total equals the plan's closed form over presets and loops
     for loop in ((0, 0), (1, 2), (0, 2), (2, 2)):
         fs_loop = make_feedback(model, *loop, np.random.default_rng(34))
@@ -311,7 +311,7 @@ def test_sample_deterministic_and_counts(sampler_setup):
             plan = make_plan(S, 1000, "rescaled", preset, loop, n)
             res = sample("ilf", model, ns, plan, 0, seed=5, fs=fs_loop)
             assert res.block_forwards == plan.block_cost("ilf")
-            assert res.block_forwards == ilf_block_cost(n, S, fs_loop.m, plan.feedback_steps)
+            assert res.block_forwards == ilf_block_cost(n, S, fs_loop.m, sum(plan.feedback))
 
 
 def test_sample_taps_are_block_outputs_and_change_nothing(sampler_setup):
@@ -323,13 +323,13 @@ def test_sample_taps_are_block_outputs_and_change_nothing(sampler_setup):
     cache_cfg = CacheConfig.from_preset("inner", 1, cfg.n_blocks, 2)
     for kind, plan, kw in (("baseline", plain, {}), ("ilf", feedback, {"fs": fs}),
                            ("cached", plain, {"cache_cfg": cache_cfg})):
+        taps = []
         off = sample(kind, model, ns, plan, None, seed=7, n_samples=2, **kw)
-        on = sample(kind, model, ns, plan, None, seed=7, n_samples=2, tap=True, **kw)
-        assert off.taps is None
+        on = sample(kind, model, ns, plan, None, seed=7, n_samples=2, taps=taps, **kw)
         assert np.array_equal(on.images, off.images)
         assert on.block_forwards == off.block_forwards
-        assert len(on.taps) == 2
-        for sample_taps in on.taps:
+        assert len(taps) == 2
+        for sample_taps in taps:
             assert len(sample_taps) == plan.S
             for step_taps in sample_taps:
                 assert len(step_taps) == cfg.n_blocks
@@ -350,15 +350,23 @@ def test_sample_baseline_cost_and_shape(sampler_setup):
         assert res.block_forwards == plan.block_cost("baseline") == n * S
 
 
-def test_sigma_rule_ddim_never_sees_tpost(sampler_setup):
+def test_sigma_rule_ddim_never_sees_tpost(sampler_setup, monkeypatch):
+    import ditlab.schedule as schedule
+
     model, fs, ns = sampler_setup
     plan = make_plan(5, 1000, "rescaled", "all", (1, 2), model.cfg.n_blocks)
-    res = sample("ilf", model, ns, plan, 1, seed=6, fs=fs)
-    assert [p[0] for p in res.ddim_pairs] == list(plan.steps)
+    pairs = []
+
+    def spy_ddim(x_t, eps_hat, t, t_next, ns):
+        pairs.append((t, t_next))
+        return ddim_step(x_t, eps_hat, t, t_next, ns)
+
+    monkeypatch.setattr(schedule, "ddim_step", spy_ddim)
+    sample("ilf", model, ns, plan, 1, seed=6, fs=fs, n_samples=2)
     nxt = list(plan.steps[1:]) + [0.0]
-    assert [p[1] for p in res.ddim_pairs] == nxt
+    assert pairs == list(zip(plan.steps, nxt)) * 2  # every image, every step
     tposts = {plan.t_post(k) for k in range(plan.S)}
-    seen = {p[0] for p in res.ddim_pairs} | {p[1] for p in res.ddim_pairs}
+    seen = {p[0] for p in pairs} | {p[1] for p in pairs}
     assert not (tposts & seen - {0.0} - set(plan.steps))
 
 
@@ -437,6 +445,35 @@ def test_sampler_runs_exactly_the_plan_actions(sampler_setup, monkeypatch):
     feedback_plan = make_plan(5, 1000, "rescaled", "skip_inner", (1, 2), n)
     with pytest.raises(ValueError):
         feedback_plan.block_cost("cached", CacheConfig.from_preset("inner", 1, n, 2))
+
+
+def test_sampler_runs_the_blocks_it_counts(sampler_setup, monkeypatch):
+    """The block forwards that actually run, counted at DiTBlock.run (the
+    feedback block included), equal the plan's block_cost per image."""
+    from ditlab.dit import DiTBlock
+
+    model, fs, ns = sampler_setup
+    n = model.cfg.n_blocks
+    calls = []
+    run = DiTBlock.run
+
+    def spy_run(self, *args, **kwargs):
+        calls.append(1)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(DiTBlock, "run", spy_run)
+    for S in (1, 2, 5):
+        plain = make_plain_plan(S, 1000, n)
+        runs = [("baseline", plain, {})]
+        for preset in ("all", "skip_inner") if S >= 5 else ("all",):
+            runs.append(("ilf", make_plan(S, 1000, "rescaled", preset, (1, 2), n), {"fs": fs}))
+        for p in (1, 2, 3):
+            runs.append(("cached", plain, {"cache_cfg": CacheConfig.from_preset("inner", 1, n, p)}))
+        for kind, plan, kw in runs:
+            calls.clear()
+            res = sample(kind, model, ns, plan, None, seed=3, n_samples=3, **kw)
+            cost = plan.block_cost(kind, kw.get("cache_cfg"))
+            assert len(calls) == cost * 3 == res.block_forwards * 3, (kind, S, kw)
 
 
 def test_sample_records_no_tape_for_trainable_state(sampler_setup, monkeypatch):
