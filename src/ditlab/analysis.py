@@ -200,6 +200,10 @@ class BenchEntry:
     cache_count: int = 0
     refresh_period: int = 2
 
+    # the fields that only one kind reads, each to that kind
+    ONLY_FOR = {"preset": "ilf", "tpost_mode": "ilf", "orientation": "ilf", "loop": "ilf",
+                "cache_location": "cached", "cache_count": "cached", "refresh_period": "cached"}
+
     def build(self, T: int, n_blocks: int) -> tuple:
         """(plan, cache config) for sampling this entry on n_blocks blocks;
         the cache config is None unless kind='cached'."""

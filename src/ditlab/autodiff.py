@@ -4,6 +4,17 @@ The op set is deliberately small: exactly what an adaLN transformer block,
 its condition embeddings, and the training losses need. Tapes are built per
 forward pass and thrown away after backward(); there is no graph reuse.
 All storage is float32 and all forward ops are deterministic.
+
+Three ops are fused, each one tape node with a hand-written VJP:
+`layer_norm` takes adaLN's shift and scale, `matmul` takes the bias, and
+`scaled_dot_attention` splits, attends over and merges the heads of
+[..., tokens, dim] inputs. On the block's small arrays ([16, 64] per image)
+the cost of a call is mostly per-op overhead, not arithmetic, so one node
+in place of a chain of them is where the time goes. Each fused op runs the
+same numpy operations, in the same order, as the chain it replaced, and
+orders its parents so that the tape visits them, and accumulates their
+gradients, as it did the chain's: outputs and gradients are unchanged to
+the bit.
 """
 
 from __future__ import annotations
@@ -130,7 +141,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), vjp)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor) -> Tensor:
+    """a @ b + bias, with the bias [N] added in place: one node for an affine
+    map. The bias gradient sums over every leading axis, as `add`'s does."""
     ad, bd = a.data, b.data
     if ad.ndim == 0 or bd.ndim < 2:
         raise ValueError("matmul needs an at least 1-d left and 2-d right operand")
@@ -139,25 +152,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
     if ad.ndim > 2 and bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2]:
         raise ValueError(f"matmul batch dims must match: {ad.shape} @ {bd.shape}")
+    if bias.data.shape != bd.shape[-1:]:
+        raise ValueError(f"matmul bias {bias.data.shape} does not fit {bd.shape}")
     if ad.ndim > 2 and bd.ndim == 2:
         # [..., K] @ [K, N]: one gemm over the flattened rows, so the weight
         # gradient is one gemm too, in the weight's own shape
         rows = ad.reshape(-1, inner_a)
         out = (rows @ bd).reshape(*ad.shape[:-1], bd.shape[1])
+        out += bias.data
 
         def vjp(g):
             g2 = g.reshape(-1, bd.shape[1])
-            return (g2 @ bd.T).reshape(ad.shape), rows.T @ g2
+            return (g2 @ bd.T).reshape(ad.shape), rows.T @ g2, _unbroadcast(g, bias.data.shape)
 
-        return _make(out, (a, b), vjp)
+        return _make(out, (a, b, bias), vjp)
     out = ad @ bd
+    out += bias.data
 
     def vjp(g):
+        gb = _unbroadcast(g, bias.data.shape)
         if ad.ndim == 1:  # [K] @ [K,N] -> [N]
-            return g @ np.swapaxes(bd, -1, -2), np.outer(ad, g)
-        return g @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ g
+            return g @ np.swapaxes(bd, -1, -2), np.outer(ad, g), gb
+        return g @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ g, gb
 
-    return _make(out, (a, b), vjp)
+    return _make(out, (a, b, bias), vjp)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -172,7 +190,9 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 def transpose(x: Tensor, axes) -> Tensor:
     axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
+    inv = [0] * len(axes)
+    for i, axis in enumerate(axes):
+        inv[axis] = i
     out = x.data.transpose(axes)
 
     def vjp(g):
@@ -271,50 +291,81 @@ def silu(x: Tensor) -> Tensor:
     return _make(out, (x,), vjp)
 
 
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Max-shifted softmax along the last axis. A row's max is NaN exactly
+    when the row holds a NaN, so the max is also the NaN check."""
+    top = x.max(axis=-1, keepdims=True)
+    if np.isnan(top).any():
+        raise ValueError("softmax input contains NaN")
+    e = np.exp(x - top)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_vjp(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    dot = (g * out).sum(axis=-1, keepdims=True)
+    return out * (g - dot)
+
+
 def softmax(x: Tensor) -> Tensor:
     """Max-shifted softmax along the last axis."""
-    if np.isnan(x.data).any():
-        raise ValueError("softmax input contains NaN")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
-
-    return _make(out, (x,), vjp)
+    out = _softmax_rows(x.data)
+    return _make(out, (x,), lambda g: (_softmax_vjp(out, g),))
 
 
-def layer_norm(x: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize the last axis to zero mean, unit population variance."""
-    if x.data.shape[-1] == 0:
+def layer_norm(x: Tensor, shift: Tensor, scale: Tensor, eps: float = 1e-6) -> Tensor:
+    """adaLN's modulated norm LN(x) * (scale + 1) + shift: the last axis is
+    normalized to zero mean and unit population variance, then modulated."""
+    xd = x.data
+    d = xd.shape[-1]
+    if d == 0:
         raise ValueError("layer_norm over an empty last axis")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    centered = xd - xd.sum(axis=-1, keepdims=True) / d
+    var = (centered * centered).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + np.float32(eps))
-    out = centered * inv
+    normed = centered * inv
+    gain = scale.data + np.float32(1.0)
+    out = normed * gain
+    out += shift.data
 
     def vjp(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        proj = (g * out).mean(axis=-1, keepdims=True)
-        return (inv * (g - gm - out * proj),)
+        gn = g * gain
+        gm = gn.sum(axis=-1, keepdims=True) / d
+        proj = (gn * normed).sum(axis=-1, keepdims=True) / d
+        return (inv * (gn - gm - normed * proj), _unbroadcast(g * normed, scale.data.shape),
+                _unbroadcast(g, shift.data.shape))
 
-    return _make(out, (x,), vjp)
+    # parents in this order keep the tape's traversal, and so the order in
+    # which gradients accumulate, that of the unfused chain
+    return _make(out, (x, scale, shift), vjp)
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(q kᵀ / sqrt(d)) v over [heads, tokens, head_dim] inputs, or
-    over [batch, heads, tokens, head_dim]."""
+def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """Multi-head softmax(q kᵀ / sqrt(Dh)) v over [..., tokens, dim] inputs
+    whose last axis holds n_heads heads of Dh = dim / n_heads each. Splits
+    the heads, attends within each, and merges them back to [..., tokens, dim]."""
     if not (q.shape == k.shape == v.shape):
         raise ValueError(f"attention shape mismatch: {q.shape}, {k.shape}, {v.shape}")
-    if q.ndim not in (3, 4):
-        raise ValueError(f"attention expects [H, L, Dh] or [B, H, L, Dh], got {q.shape}")
-    head_dim = q.shape[-1]
-    k_t = transpose(k, (*range(q.ndim - 2), q.ndim - 1, q.ndim - 2))
-    scores = matmul(q, k_t) * (1.0 / math.sqrt(head_dim))
-    return matmul(softmax(scores), v)
+    if q.ndim < 2 or n_heads < 1 or q.shape[-1] % n_heads:
+        raise ValueError(f"attention cannot split {q.shape} into {n_heads} heads")
+    shape = q.shape
+    split = (*shape[:-1], n_heads, shape[-1] // n_heads)
+    # [..., L, H, Dh] -> [..., H, L, Dh] views
+    qh, kh, vh = (t.data.reshape(split).swapaxes(-3, -2) for t in (q, k, v))
+    scale = np.float32(1.0 / math.sqrt(split[-1]))
+    scores = qh @ kh.swapaxes(-1, -2)
+    scores *= scale
+    p = _softmax_rows(scores)
+    out = (p @ vh).swapaxes(-3, -2).reshape(shape)
+
+    def vjp(g):
+        gh = g.reshape(split).swapaxes(-3, -2)
+        gv = p.swapaxes(-1, -2) @ gh
+        gs = _softmax_vjp(p, gh @ vh.swapaxes(-1, -2)) * scale
+        gq = gs @ kh
+        gk = (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
+        return tuple(gx.swapaxes(-3, -2).reshape(shape) for gx in (gq, gk, gv))
+
+    return _make(out, (q, k, v), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -195,11 +195,12 @@ def _built(section: str, build, *args, **kwargs):
         raise ConfigError(f"invalid config section {section!r}: {exc}") from None
 
 
-def _check_builds(cfg: RunConfig):
+def _check_builds(cfg: RunConfig, raw: dict):
     """Build each plan and cache config the commands build from `cfg`:
     those of every sampling kind, and every bench entry's at the width it
     runs at (mock_n when set). A procedural dataset is built too; IDX files
-    are read only by `train`. Also refuses a negative run or sample seed,
+    are read only by `train`. Also refuses a negative run or sample seed, a
+    bench entry key (in `raw`, the loaded JSON) that its kind does not read,
     and a real bench's ilf entry whose loop is not the ilf loop."""
     for key, seed in (("seed", cfg.seed), ("sample.seed", cfg.sample.seed)):
         if seed < 0:
@@ -210,8 +211,13 @@ def _check_builds(cfg: RunConfig):
         _built(section, cfg.sampling, kind)
     width = cfg.backbone.n_blocks if cfg.bench.mock_n is None else cfg.bench.mock_n
     ilf_loop = (cfg.ilf.loop_start, cfg.ilf.loop_end)
-    for i, entry in enumerate(cfg.bench.entries):
+    given = raw.get("bench", {}).get("entries", [])
+    for i, (entry, keys) in enumerate(zip(cfg.bench.entries, given)):
         _built(f"bench.entries[{i}]", entry.build, cfg.backbone.T, width)
+        for key in keys:
+            if BenchEntry.ONLY_FOR.get(key, entry.kind) != entry.kind:
+                raise ConfigError(f"bench.entries[{i}].{key} does not apply to kind "
+                                  f"{entry.kind!r}, only to {BenchEntry.ONLY_FOR[key]!r}")
         # a real bench samples every ilf entry with the one trained feedback state
         if cfg.bench.mock_n is None and entry.kind == "ilf" and entry.loop != ilf_loop:
             raise ConfigError(f"bench.entries[{i}].loop {list(entry.loop)} is not the ilf "
@@ -226,7 +232,7 @@ def parse_run_config(raw: dict, source: str = "<config>") -> RunConfig:
         raise ConfigError(f"{source}: top level must be a JSON object")
     try:
         cfg = _build(RunConfig, raw, "")
-        _check_builds(cfg)
+        _check_builds(cfg, raw)
     except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from None
     return cfg

@@ -81,13 +81,16 @@ def gen_shapes(seed: int, n_per_class: int, n_classes: int = 8, size: int = 16) 
     rng = np.random.default_rng(seed)
     images = np.full((n_classes * n_per_class, 1, size, size), -1.0, dtype=np.float32)
     labels = np.empty(n_classes * n_per_class, dtype=np.int64)
+    masks = {}  # one per (class, dy, dx): at most 25 jitters per class
     i = 0
     for cls in range(n_classes):
         for _ in range(n_per_class):
             dy, dx = rng.integers(-2, 3, size=2)
             intensity = 0.8 + rng.uniform(-0.2, 0.2)
-            mask = _shape_mask(cls, size, int(dy), int(dx))
-            images[i, 0][mask] = np.float32(intensity)
+            key = (cls, int(dy), int(dx))
+            if key not in masks:
+                masks[key] = _shape_mask(cls, size, *key[1:])
+            images[i, 0][masks[key]] = np.float32(intensity)
             labels[i] = cls
             i += 1
     return Dataset(images=images, labels=labels, n_classes=n_classes, source="procedural")

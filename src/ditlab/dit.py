@@ -91,14 +91,10 @@ def _zeros(*shape) -> Tensor:
     return _param(np.zeros(shape, dtype=np.float32))
 
 
-def modulate(x: Tensor, shift: Tensor, scale: Tensor) -> Tensor:
-    return mul(x, scale + 1.0) + shift
-
-
 def _modulation(cond: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """adaLN parameters of a condition: [n] for one sample, [B, 1, n] for a
     batch of conditions [B, D], so that they broadcast over tokens."""
-    mod = matmul(silu(cond), w) + b
+    mod = matmul(silu(cond), w, b)
     return mod if cond.ndim == 1 else reshape(mod, (mod.shape[0], 1, mod.shape[1]))
 
 
@@ -131,20 +127,11 @@ class DiTBlock:
                  "w1", "b1", "w2", "b2", "w_mod", "b_mod")
         return {f"{prefix}{n}": getattr(self, n) for n in names}
 
-    @staticmethod
-    def _swap_heads(x: Tensor) -> Tensor:
-        """[..., tokens, heads, head_dim] <-> [..., heads, tokens, head_dim]."""
-        n = x.ndim
-        return transpose(x, (*range(n - 3), n - 2, n - 3, n - 1))
-
     def _attention(self, x: Tensor) -> Tensor:
-        split = (*x.shape[:-1], self.n_heads, self.head_dim)
-        q = self._swap_heads(reshape(matmul(x, self.wq) + self.bq, split))
-        k = self._swap_heads(reshape(matmul(x, self.wk) + self.bk, split))
-        v = self._swap_heads(reshape(matmul(x, self.wv) + self.bv, split))
-        att = scaled_dot_attention(q, k, v)
-        merged = reshape(self._swap_heads(att), x.shape)
-        return matmul(merged, self.wo) + self.bo
+        q = matmul(x, self.wq, self.bq)
+        k = matmul(x, self.wk, self.bk)
+        v = matmul(x, self.wv, self.bv)
+        return matmul(scaled_dot_attention(q, k, v, self.n_heads), self.wo, self.bo)
 
     def run(self, h: Tensor, cond: Tensor, branches: list | None = None) -> Tensor:
         """h: [tokens, dim] with cond [dim], or [B, tokens, dim] with cond
@@ -157,10 +144,10 @@ class DiTBlock:
         shift_a, scale_a, gate_a, shift_m, scale_m, gate_m = (
             slice_last(mod, j * d, (j + 1) * d) for j in range(6)
         )
-        attn_branch = mul(self._attention(modulate(layer_norm(h, LN_EPS), shift_a, scale_a)), gate_a)
+        attn_branch = mul(self._attention(layer_norm(h, shift_a, scale_a, LN_EPS)), gate_a)
         h_mid = h + attn_branch
-        x = modulate(layer_norm(h_mid, LN_EPS), shift_m, scale_m)
-        mlp_branch = mul(matmul(gelu(matmul(x, self.w1) + self.b1), self.w2) + self.b2, gate_m)
+        x = layer_norm(h_mid, shift_m, scale_m, LN_EPS)
+        mlp_branch = mul(matmul(gelu(matmul(x, self.w1, self.b1)), self.w2, self.b2), gate_m)
         if branches is not None:
             branches += (attn_branch, mlp_branch)
         return h_mid + mlp_branch
@@ -251,7 +238,7 @@ class DiT:
         """Image (array or constant Tensor) to projected tokens + positions."""
         data = img.data if isinstance(img, Tensor) else np.asarray(img, dtype=np.float32)
         tokens = Tensor(self.extract_patches(data))
-        return matmul(tokens, self.patch_w) + self.patch_b + self.pos
+        return matmul(tokens, self.patch_w, self.patch_b) + self.pos
 
     def unpatchify(self, tokens: Tensor) -> Tensor:
         """[..., tokens, patch_dim] -> [..., C, H, W]."""
@@ -274,14 +261,14 @@ class DiT:
         if bad.size:
             raise ValueError(f"class_id {bad.flat[0]} out of range [0, {c.n_classes})")
         feats = Tensor(sinusoid(t, c.hidden_dim))
-        t_emb = matmul(silu(matmul(feats, self.t_w1) + self.t_b1), self.t_w2) + self.t_b2
+        t_emb = matmul(silu(matmul(feats, self.t_w1, self.t_b1)), self.t_w2, self.t_b2)
         return t_emb + take_row(self.class_table, ids.astype(np.intp))
 
     def final_layer(self, h: Tensor, cond: Tensor) -> Tensor:
         d = self.cfg.hidden_dim
         mod = _modulation(cond, self.final_mod_w, self.final_mod_b)
         shift, scale = slice_last(mod, 0, d), slice_last(mod, d, 2 * d)
-        out = matmul(modulate(layer_norm(h, LN_EPS), shift, scale), self.final_w) + self.final_b
+        out = matmul(layer_norm(h, shift, scale, LN_EPS), self.final_w, self.final_b)
         return self.unpatchify(out)
 
     # -- full passes ------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,10 @@ from ditlab.autodiff import (
 
 def t(data, grad=False):
     return Tensor(np.asarray(data, dtype=np.float32), requires_grad=grad)
+
+
+def zeros(*shape):
+    return t(np.zeros(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -94,12 +100,12 @@ def gelu_grad_oracle(pre: np.ndarray) -> np.ndarray:
 
 def test_matmul_identity():
     a = [[1.0, 2.0], [3.0, 4.0]]
-    out = matmul(t(np.eye(2)), t(a))
+    out = matmul(t(np.eye(2)), t(a), zeros(2))
     assert np.array_equal(out.data, np.asarray(a, np.float32))
 
 
 def test_matmul_zeros():
-    out = matmul(t([[1.0, 2.0], [3.0, 4.0]]), t(np.zeros((2, 2))))
+    out = matmul(t([[1.0, 2.0], [3.0, 4.0]]), t(np.zeros((2, 2))), zeros(2))
     assert np.array_equal(out.data, np.zeros((2, 2), np.float32))
 
 
@@ -108,19 +114,19 @@ def test_matmul_hand_case():
     b = np.array([[5.0, 6.0], [7.0, 8.0]], np.float32)
     expect = matmul_oracle(a, b)
     assert np.allclose(expect, [[19, 22], [43, 50]])
-    assert np.allclose(matmul(t(a), t(b)).data, expect)
+    assert np.allclose(matmul(t(a), t(b), zeros(2)).data, expect)
 
 
 def test_matmul_shape_mismatch():
     with pytest.raises(ValueError):
-        matmul(t(np.zeros((2, 3))), t(np.zeros((2, 3))))
+        matmul(t(np.zeros((2, 3))), t(np.zeros((2, 3))), zeros(3))
 
 
 def test_matmul_batched_matches_loop():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(3, 4, 5)).astype(np.float32)
     b = rng.normal(size=(3, 5, 2)).astype(np.float32)
-    got = matmul(t(a), t(b)).data
+    got = matmul(t(a), t(b), zeros(2)).data
     for h in range(3):
         assert np.allclose(got[h], matmul_oracle(a[h], b[h]), atol=1e-5)
 
@@ -129,12 +135,12 @@ def test_matmul_batched_matches_loop():
     x = rng.normal(size=(3, 4, 5)).astype(np.float32)
     w = t(rng.normal(size=(5, 2)), grad=True)
     target = rng.normal(size=(3, 4, 2)).astype(np.float32)
-    got = matmul(t(x), w)
+    got = matmul(t(x), w, zeros(2))
     for h in range(3):
         assert np.allclose(got.data[h], matmul_oracle(x[h], w.data), atol=1e-5)
     backward(mse(got, t(target)))
     assert w.grad.shape == (5, 2)
-    fd = finite_diff(lambda: mse64(matmul(t(x), w).data, target), w.data)
+    fd = finite_diff(lambda: mse64(matmul(t(x), w, zeros(2)).data, target), w.data)
     assert np.allclose(w.grad, fd, atol=2e-3)
 
 
@@ -144,32 +150,32 @@ def test_matmul_batched_matches_loop():
 
 
 def test_layer_norm_constant_row():
-    out = layer_norm(t([5.0, 5.0, 5.0, 5.0]), eps=1e-6)
+    out = layer_norm(t([5.0, 5.0, 5.0, 5.0]), zeros(4), zeros(4), eps=1e-6)
     assert np.allclose(out.data, 0.0, atol=1e-4)
 
 
 def test_layer_norm_already_normalized():
-    out = layer_norm(t([1.0, -1.0]), eps=1e-12)
+    out = layer_norm(t([1.0, -1.0]), zeros(2), zeros(2), eps=1e-12)
     assert np.allclose(out.data, [1.0, -1.0], atol=1e-5)
 
 
 def test_layer_norm_simple_case():
     # mean 1, population std 1
-    out = layer_norm(t([0.0, 2.0]), eps=1e-12)
+    out = layer_norm(t([0.0, 2.0]), zeros(2), zeros(2), eps=1e-12)
     assert np.allclose(out.data, [-1.0, 1.0], atol=1e-5)
 
 
 def test_layer_norm_statistics_random():
     rng = np.random.default_rng(3)
     x = rng.uniform(-1, 1, size=(20, 32)).astype(np.float32)
-    out = layer_norm(t(x), eps=1e-12).data
+    out = layer_norm(t(x), zeros(32), zeros(32), eps=1e-12).data
     assert np.abs(out.mean(axis=-1)).max() <= 1e-5
     assert np.abs(out.var(axis=-1) - 1.0).max() <= 1e-3
 
 
 def test_layer_norm_empty_axis():
     with pytest.raises(ValueError):
-        layer_norm(t(np.zeros((2, 0))))
+        layer_norm(t(np.zeros((2, 0))), zeros(0), zeros(0))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +218,7 @@ def test_softmax_rejects_nan():
 def test_attention_single_token_returns_v():
     rng = np.random.default_rng(6)
     q, k, v = (rng.normal(size=(2, 1, 4)).astype(np.float32) for _ in range(3))
-    out = scaled_dot_attention(t(q), t(k), t(v))
+    out = scaled_dot_attention(t(q), t(k), t(v), n_heads=1)
     assert np.allclose(out.data, v, atol=1e-6)
 
 
@@ -220,19 +226,19 @@ def test_attention_zero_query_averages_v():
     rng = np.random.default_rng(7)
     k = rng.normal(size=(1, 3, 4)).astype(np.float32)
     v = rng.normal(size=(1, 3, 4)).astype(np.float32)
-    out = scaled_dot_attention(t(np.zeros((1, 3, 4))), t(k), t(v))
+    out = scaled_dot_attention(t(np.zeros((1, 3, 4))), t(k), t(v), n_heads=1)
     assert np.allclose(out.data[0], np.broadcast_to(v[0].mean(axis=0), (3, 4)), atol=1e-6)
 
 
 def test_attention_matches_loop_oracle():
     rng = np.random.default_rng(8)
     q, k, v = (rng.normal(size=(2, 2, 4)).astype(np.float32) for _ in range(3))
-    out = scaled_dot_attention(t(q), t(k), t(v))
+    out = scaled_dot_attention(t(q), t(k), t(v), n_heads=1)
     assert np.allclose(out.data, attention_oracle(q, k, v), atol=1e-5)
 
     # [B, H, L, Dh]: each sample attends within itself
     q, k, v = (rng.normal(size=(3, 2, 5, 4)).astype(np.float32) for _ in range(3))
-    out = scaled_dot_attention(t(q), t(k), t(v))
+    out = scaled_dot_attention(t(q), t(k), t(v), n_heads=1)
     for b in range(3):
         assert np.allclose(out.data[b], attention_oracle(q[b], k[b], v[b]), atol=1e-5)
 
@@ -240,7 +246,118 @@ def test_attention_matches_loop_oracle():
 def test_attention_shape_mismatch():
     with pytest.raises(ValueError):
         scaled_dot_attention(t(np.zeros((1, 2, 4))), t(np.zeros((1, 3, 4))),
-                             t(np.zeros((1, 2, 4))))
+                             t(np.zeros((1, 2, 4))), n_heads=1)
+
+
+# ---------------------------------------------------------------------------
+# fused ops against the unfused tape chains they replace: plain numpy,
+# forward and backward node by node, so outputs and gradients must agree in
+# every bit, not within a tolerance
+# ---------------------------------------------------------------------------
+
+
+def sum_to(g, shape):
+    """A broadcast gradient summed back to `shape` as the chain's add and mul
+    nodes did: leading axes first, one at a time, then size-1 axes."""
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for axis, extent in enumerate(shape):
+        if extent == 1 and g.shape[axis] != 1:
+            g = g.sum(axis=axis, keepdims=True)
+    return g
+
+
+def ln_modulate_chain(x, shift, scale, g, eps=1e-6):
+    """layer_norm, then mul by (scale + 1), then add shift."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + np.float32(eps))
+    normed = centered * inv
+    gain = scale + np.float32(1.0)
+    out = normed * gain + shift
+    g_normed = g * gain
+    gm = g_normed.mean(axis=-1, keepdims=True)
+    proj = (g_normed * normed).mean(axis=-1, keepdims=True)
+    gx = inv * (g_normed - gm - normed * proj)
+    return out, (gx, sum_to(g, shift.shape), sum_to(g * normed, scale.shape))
+
+
+def affine_chain(x, w, b, g):
+    """matmul over the flattened rows, then add the bias."""
+    rows = x.reshape(-1, x.shape[-1])
+    out = (rows @ w).reshape(*x.shape[:-1], w.shape[1]) + b
+    g2 = g.reshape(-1, w.shape[1])
+    return out, ((g2 @ w.T).reshape(x.shape), rows.T @ g2, sum_to(g, b.shape))
+
+
+def attention_chain(q, k, v, n_heads, g):
+    """Split the heads (reshape, transpose), matmul by the transposed keys,
+    scale, softmax, matmul by v, merge the heads (transpose, reshape)."""
+    *lead, L, d = q.shape
+    n = q.ndim + 1
+    swap = (*range(n - 3), n - 2, n - 3, n - 1)  # tokens <-> heads, its own inverse
+    flip = (*range(n - 2), n - 1, n - 2)         # the last two axes, its own inverse
+    qh, kh, vh = (a.reshape(*lead, L, n_heads, d // n_heads).transpose(swap) for a in (q, k, v))
+    kt = kh.transpose(flip)
+    scale = np.float32(1.0 / math.sqrt(d // n_heads))
+    scores = (qh @ kt) * scale
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    att = p @ vh
+    out = att.transpose(swap).reshape(q.shape)
+    ga = g.reshape(att.transpose(swap).shape).transpose(swap)
+    gp = ga @ np.swapaxes(vh, -1, -2)
+    gv = np.swapaxes(p, -1, -2) @ ga
+    gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+    gq = gs @ np.swapaxes(kt, -1, -2)
+    gk = (np.swapaxes(qh, -1, -2) @ gs).transpose(flip)
+    return out, tuple(a.transpose(swap).reshape(q.shape) for a in (gq, gk, gv))
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["L,d", "B,L,d"])
+def test_fused_ops_equal_the_unfused_chain_bit_for_bit(lead):
+    rng = np.random.default_rng(15)
+    L, d, n_heads = 5, 8, 2
+
+    def arr(*shape):
+        return rng.normal(size=shape).astype(np.float32)
+
+    # adaLN parameters broadcast over tokens: [d] for one sample, [B, 1, d] for a batch
+    mod = (*lead, 1, d) if lead else (d,)
+    cases = (
+        (lambda x, sh, sc: layer_norm(x, sh, sc), ln_modulate_chain,
+         (arr(*lead, L, d), arr(*mod), arr(*mod))),
+        (matmul, affine_chain, (arr(*lead, L, d), arr(d, 3 * d), arr(3 * d))),
+        (lambda q, k, v: scaled_dot_attention(q, k, v, n_heads),
+         lambda q, k, v, g: attention_chain(q, k, v, n_heads, g),
+         (arr(*lead, L, d), arr(*lead, L, d), arr(*lead, L, d))),
+    )
+    for fused, chain, args in cases:
+        leaves = [t(a, grad=True) for a in args]
+        out = fused(*leaves)
+        g = arr(*out.shape)
+        backward(sum_all(mul(out, t(g))))  # out's gradient is exactly g
+        expect, grads = chain(*args, g)
+        assert out.data.dtype == expect.dtype == np.float32
+        assert np.array_equal(out.data, expect)
+        for leaf, grad in zip(leaves, grads):
+            assert np.array_equal(leaf.grad, grad)
+            # the memory layout too: it sets the summation order of later
+            # reductions over the gradient, such as a bias gradient's
+            assert leaf.grad.strides == grad.strides
+
+
+def test_fused_ops_refuse_what_they_cannot_fuse():
+    x = t(np.ones((2, 4, 6)))
+    with pytest.raises(ValueError):
+        matmul(x, t(np.ones((6, 3))), zeros(6))   # bias of the wrong width
+    with pytest.raises(ValueError):
+        scaled_dot_attention(x, x, x, n_heads=4)  # 6 does not split into 4 heads
+    q = np.zeros((4, 6), np.float32)
+    q[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        scaled_dot_attention(t(q), t(q), t(q), n_heads=2)   # NaN scores
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +400,7 @@ def test_mlp_gradients_match_finite_differences():
     target = rng.uniform(-1, 1, size=(4, 3)).astype(np.float32)
 
     def pred():
-        return matmul(gelu(matmul(t(x), w1) + b1), w2)
+        return matmul(gelu(matmul(t(x), w1, b1)), w2, zeros(3))
 
     backward(mse(pred(), t(target)))
     for param in (w1, b1, w2):
@@ -308,7 +425,7 @@ def test_mlp_gradients_match_analytic_oracle():
     w2 = t(rng.uniform(-1, 1, size=(8, 3)), grad=True)
     target = rng.uniform(-1, 1, size=(4, 3)).astype(np.float32)
 
-    backward(mse(matmul(gelu(matmul(t(x), w1) + b1), w2), t(target)))
+    backward(mse(matmul(gelu(matmul(t(x), w1, b1)), w2, zeros(3)), t(target)))
 
     x64, t64 = x.astype(np.float64), target.astype(np.float64)
     pre = x64 @ w1.data.astype(np.float64) + b1.data.astype(np.float64)
@@ -334,7 +451,7 @@ def test_layer_norm_and_softmax_gradients():
     target = rng.uniform(-1, 1, size=(3, 5)).astype(np.float32)
 
     def pred():
-        return softmax(layer_norm(x, 1e-6))
+        return softmax(layer_norm(x, zeros(5), zeros(5), 1e-6))
 
     backward(mse(pred(), t(target)))
     fd = finite_diff(lambda: mse64(pred().data, target), x.data)
@@ -388,8 +505,8 @@ def test_forward_determinism():
     rng = np.random.default_rng(14)
     a = rng.normal(size=(8, 8)).astype(np.float32)
     b = rng.normal(size=(8, 8)).astype(np.float32)
-    r1 = matmul(softmax(t(a)), gelu(t(b))).data
-    r2 = matmul(softmax(t(a)), gelu(t(b))).data
+    r1 = matmul(softmax(t(a)), gelu(t(b)), zeros(8)).data
+    r2 = matmul(softmax(t(a)), gelu(t(b)), zeros(8)).data
     assert np.array_equal(r1, r2)
 
 

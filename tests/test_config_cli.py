@@ -249,6 +249,29 @@ def test_real_bench_ilf_entry_needs_the_ilf_loop(tmp_path, capsys):
     assert parse_run_config(d).bench.entries[0].loop == (0, 5)
 
 
+def test_bench_entry_keys_must_apply_to_the_kind(tmp_path, capsys):
+    # a baseline entry with ILF and cache keys used to load, run without
+    # them, and print a label that hid them
+    stray = {"kind": "baseline", "steps": 5, "loop": [9, 9], "preset": "nonsense",
+             "cache_count": 99}
+    for entry, key in ((stray, "loop"),
+                       ({"kind": "baseline", "steps": 5, "refresh_period": 2}, "refresh_period"),
+                       ({"kind": "cached", "steps": 5, "tpost_mode": "uniform"}, "tpost_mode"),
+                       ({"kind": "ilf", "steps": 5, "loop": [8, 19], "cache_count": 2},
+                        "cache_count")):
+        d = tiny_config_dict(str(tmp_path))
+        d["bench"]["entries"].append(entry)
+        _one_error_line_and_no_output(capsys, tmp_path, d, says=f"bench.entries[2].{key} ")
+    d = tiny_config_dict(str(tmp_path))
+    d["bench"]["entries"] += [
+        {"kind": "ilf", "steps": 10, "preset": "all", "tpost_mode": "uniform",
+         "orientation": "n_over_m", "loop": [8, 19]},
+        {"kind": "cached", "steps": 5, "cache_location": "inner", "cache_count": 2,
+         "refresh_period": 3}]
+    assert [e.kind for e in parse_run_config(d).bench.entries] == [
+        "baseline", "ilf", "ilf", "cached"]
+
+
 def test_train_builds_the_dataset_once(tmp_path, monkeypatch):
     # load checks the dataset and `train` trains on the one load built
     import ditlab.config as config

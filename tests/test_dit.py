@@ -3,7 +3,7 @@ import pytest
 
 from conftest import randomize, tiny_config
 from ditlab import BackboneConfig, DiT
-from ditlab.autodiff import Tensor
+from ditlab.autodiff import Tensor, backward, mul, sum_all
 from ditlab.dit import LN_EPS, sinusoid
 
 
@@ -12,7 +12,9 @@ from ditlab.dit import LN_EPS, sinusoid
 # ---------------------------------------------------------------------------
 
 
-def block_oracle(blk, h, cond):
+def block_oracle(blk, h, cond, w=None):
+    """The block's output, in float64 from its parameters, or from `w`: a
+    dict of float64 arrays by parameter name."""
     def ln(x):
         mu = x.mean(axis=-1, keepdims=True)
         var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
@@ -26,7 +28,8 @@ def block_oracle(blk, h, cond):
         return x / (1 + np.exp(-x))
 
     d, nh, hd = blk.dim, blk.n_heads, blk.head_dim
-    w = {k: v.data.astype(np.float64) for k, v in blk.named_params().items()}
+    if w is None:
+        w = {k: v.data.astype(np.float64) for k, v in blk.named_params().items()}
     mod = silu(cond.astype(np.float64)) @ w["w_mod"] + w["b_mod"]
     sa, ca, ga, sm, cm, gm = (mod[j * d:(j + 1) * d] for j in range(6))
 
@@ -180,6 +183,35 @@ def test_random_block_matches_scalar_oracle(tiny_random_model):
     cond = rng.normal(size=16).astype(np.float32)
     out = blk.run(Tensor(h), Tensor(cond)).data
     assert np.allclose(out, block_oracle(blk, h, cond), atol=1e-5)
+
+
+def test_block_parameter_gradients_match_float64_central_differences(tiny_random_model):
+    """The tape's float32 gradients against central differences of the
+    float64 oracle, at a sample of coordinates of every parameter."""
+    rng = np.random.default_rng(8)
+    blk = tiny_random_model.blocks[1]
+    h = rng.normal(size=(4, 16)).astype(np.float32)
+    cond = rng.normal(size=16).astype(np.float32)
+    g = rng.normal(size=(4, 16))
+    params = blk.named_params()
+    for p in params.values():
+        p.grad = None
+    backward(sum_all(mul(blk.run(Tensor(h), Tensor(cond)), Tensor(g))))
+
+    w = {k: v.data.astype(np.float64) for k, v in params.items()}
+    step = 1e-6
+    for name, p in params.items():
+        flat = w[name].reshape(-1)
+        for i in rng.choice(flat.size, size=min(flat.size, 12), replace=False):
+            orig = flat[i]
+            flat[i] = orig + step
+            up = (block_oracle(blk, h, cond, w) * g).sum()
+            flat[i] = orig - step
+            down = (block_oracle(blk, h, cond, w) * g).sum()
+            flat[i] = orig
+            fd = (up - down) / (2 * step)
+            # float32 rounding over a [4, 16] block stays near 1e-7 here
+            assert abs(p.grad.reshape(-1)[i] - fd) <= 1e-5 * max(1.0, abs(fd)), (name, i)
 
 
 def test_block_rejects_bad_shapes(tiny_model):
