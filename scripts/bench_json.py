@@ -9,10 +9,11 @@ BENCHMARK.json lists and for every seed, `perfbench/run.py --trace 0` runs
 once in each checkout, one process at a time. The checkout that runs first
 alternates from seed to seed, so two checkouts give alternating pairs.
 
-Each checkout gets its own BENCH_<label>.json in --out-dir. It holds every
-run's end-to-end metrics; per workload, the median and quartiles of each
-metric; the numpy version, BLAS build and BLAS thread count that perfbench ran
-with; and, with --tier1, the wall time of the Tier-1 command in that checkout.
+Each run lasts BENCHMARK.json's `run_seconds`. Each checkout gets its own
+BENCH_<label>.json in the current directory. It holds every run's end-to-end
+metrics; per workload, the median and quartiles of each metric; the numpy
+version, BLAS build and BLAS thread count that perfbench ran with; and, with
+--tier1, the wall time of the Tier-1 command in that checkout.
 """
 
 from __future__ import annotations
@@ -104,11 +105,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkouts", nargs="+", metavar="LABEL=DIR")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--seconds", type=float,
-                        help="length of each run (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--tier1", action="store_true",
                         help="also time the Tier-1 test command in each checkout")
-    parser.add_argument("--out-dir", default=".")
     args = parser.parse_args(argv)
 
     checkouts = []
@@ -121,7 +119,7 @@ def main(argv=None) -> int:
         parser.error("seeds must be >= 0")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
 
     runs = {label: {w["name"]: [] for w in spec["workloads"]} for label, _ in checkouts}
     for w in spec["workloads"]:
@@ -150,7 +148,7 @@ def main(argv=None) -> int:
                "tier1": run_tier1(path) if args.tier1 else None,
                "workloads": {name: summarize(rs, spec["end_to_end"])
                              for name, rs in runs[label].items()}}
-        out = os.path.join(args.out_dir, f"BENCH_{label}.json")
+        out = f"BENCH_{label}.json"
         with open(out, "w") as f:
             json.dump(doc, f, indent=1)
             f.write("\n")

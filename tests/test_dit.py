@@ -192,10 +192,8 @@ def test_block_parameter_gradients_match_float64_central_differences(tiny_random
     blk = tiny_random_model.blocks[1]
     h = rng.normal(size=(4, 16)).astype(np.float32)
     cond = rng.normal(size=16).astype(np.float32)
-    g = rng.normal(size=(4, 16))
+    g = rng.normal(size=(4, 16)).astype(np.float32)
     params = blk.named_params()
-    for p in params.values():
-        p.grad = None
     backward(sum_all(mul(blk.run(Tensor(h), Tensor(cond)), Tensor(g))))
 
     w = {k: v.data.astype(np.float64) for k, v in params.items()}
