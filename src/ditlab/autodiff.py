@@ -15,6 +15,9 @@ same numpy operations, in the same order, as the chain it replaced, and
 orders its parents so that the tape visits them, and accumulates their
 gradients, as it did the chain's: outputs and gradients are unchanged to
 the bit.
+
+`matmul` has one path for every rank of its left operand: sampling's [K]
+condition and training's [B, tokens, K] rows run the same numpy `@` and VJP.
 """
 
 from __future__ import annotations
@@ -141,41 +144,24 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), vjp)
 
 
-def matmul(a: Tensor, b: Tensor, bias: Tensor) -> Tensor:
-    """a @ b + bias, with the bias [N] added in place: one node for an affine
-    map. The bias gradient sums over every leading axis, as `add`'s does."""
-    ad, bd = a.data, b.data
-    if ad.ndim == 0 or bd.ndim < 2:
-        raise ValueError("matmul needs an at least 1-d left and 2-d right operand")
-    inner_a = ad.shape[-1]
-    if inner_a != bd.shape[-2]:
-        raise ValueError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
-    if ad.ndim > 2 and bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2]:
-        raise ValueError(f"matmul batch dims must match: {ad.shape} @ {bd.shape}")
-    if bias.data.shape != bd.shape[-1:]:
-        raise ValueError(f"matmul bias {bias.data.shape} does not fit {bd.shape}")
-    if ad.ndim > 2 and bd.ndim == 2:
-        # [..., K] @ [K, N]: one gemm over the flattened rows, so the weight
-        # gradient is one gemm too, in the weight's own shape
-        rows = ad.reshape(-1, inner_a)
-        out = (rows @ bd).reshape(*ad.shape[:-1], bd.shape[1])
-        out += bias.data
-
-        def vjp(g):
-            g2 = g.reshape(-1, bd.shape[1])
-            return (g2 @ bd.T).reshape(ad.shape), rows.T @ g2, _unbroadcast(g, bias.data.shape)
-
-        return _make(out, (a, b, bias), vjp)
-    out = ad @ bd
+def matmul(a: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+    """a @ w + bias for any [..., K] operand, a [K, N] weight and a [N] bias
+    added in place. The VJP flattens the rows, so the weight gradient is one
+    gemm; the bias gradient sums over every leading axis, as `add`'s does."""
+    ad, wd = a.data, w.data
+    if ad.ndim == 0 or wd.ndim != 2 or ad.shape[-1] != wd.shape[0]:
+        raise ValueError(f"matmul needs [..., K] @ [K, N], got {ad.shape} @ {wd.shape}")
+    if bias.data.shape != wd.shape[1:]:
+        raise ValueError(f"matmul bias {bias.data.shape} does not fit {wd.shape}")
+    out = ad @ wd
     out += bias.data
 
     def vjp(g):
-        gb = _unbroadcast(g, bias.data.shape)
-        if ad.ndim == 1:  # [K] @ [K,N] -> [N]
-            return g @ np.swapaxes(bd, -1, -2), np.outer(ad, g), gb
-        return g @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ g, gb
+        g2 = g.reshape(-1, wd.shape[1])
+        rows = ad.reshape(-1, wd.shape[0])
+        return (g2 @ wd.T).reshape(ad.shape), rows.T @ g2, _unbroadcast(g, bias.data.shape)
 
-    return _make(out, (a, b, bias), vjp)
+    return _make(out, (a, w, bias), vjp)
 
 
 def reshape(x: Tensor, shape) -> Tensor:

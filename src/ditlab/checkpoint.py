@@ -8,6 +8,7 @@ arrays live under disjoint name prefixes.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -33,6 +34,22 @@ def params_hash(arrays: dict) -> str:
         h.update(name.encode())
         h.update(np.ascontiguousarray(arrays[name], dtype="<f4").tobytes())
     return h.hexdigest()
+
+
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "wb", **kwargs):
+    """open() for writing a whole file, beside `path`, renamed onto `path`
+    when the block exits cleanly and removed when it raises: an interrupted
+    write never leaves a partial file at `path`."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _pad(offset: int) -> int:
@@ -71,24 +88,15 @@ def save_checkpoint(path: str, arrays: dict, cfg_hash: str, meta: dict | None = 
     else:
         raise RuntimeError("checkpoint header failed to stabilize")
 
-    # write beside `path` and rename, so an interrupted write never leaves
-    # a partial checkpoint at `path`
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<II", FORMAT_VERSION, header_len))
-            f.write(encoded)
-            pos = len(MAGIC) + 8 + header_len
-            for entry, blob in zip(entries, blobs):
-                f.write(b"\x00" * (entry["offset"] - pos))
-                f.write(blob)
-                pos = entry["offset"] + len(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_open(path) as f:
+        f.write(MAGIC)
+        f.write(struct.pack("<II", FORMAT_VERSION, header_len))
+        f.write(encoded)
+        pos = len(MAGIC) + 8 + header_len
+        for entry, blob in zip(entries, blobs):
+            f.write(b"\x00" * (entry["offset"] - pos))
+            f.write(blob)
+            pos = entry["offset"] + len(blob)
 
 
 def load_checkpoint(path: str, expect_config_hash: str | None = None) -> tuple:

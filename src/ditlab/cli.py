@@ -17,7 +17,8 @@ import numpy as np
 
 from . import analysis
 from .analysis import BENCH_COLUMNS
-from .checkpoint import config_hash, load_checkpoint, load_into, params_hash, save_checkpoint
+from .checkpoint import (atomic_open, config_hash, load_checkpoint, load_into, params_hash,
+                         save_checkpoint)
 from .config import ConfigError, RunConfig, load_run_config
 from .dit import DiT
 from .feedback import FeedbackState, make_feedback
@@ -73,11 +74,8 @@ def _load_feedback(cfg: RunConfig, model: DiT, path: str) -> FeedbackState:
 
 
 def _write_csv(path: str, columns, rows):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(columns)
-        for row in rows:
-            w.writerow(row)
+    with atomic_open(path, "w", newline="") as f:
+        csv.writer(f).writerows([columns, *rows])
 
 
 def _save_backbone(path: str, model: DiT, cfg: RunConfig):
@@ -179,9 +177,9 @@ def cmd_drift(config_path: str, out_dir: str) -> dict:
     names = ("drift_time_baseline", "drift_time_cached",
              "drift_blocks_baseline", "drift_blocks_cached")
     for name, matrix in zip(names, (*time_pair, *block_pair)):
-        with open(os.path.join(out_dir, f"{name}.csv"), "w") as f:
+        with atomic_open(os.path.join(out_dir, f"{name}.csv"), "w") as f:
             f.write(analysis.drift_csv(matrix))
-        with open(os.path.join(out_dir, f"{name}.pgm"), "wb") as f:
+        with atomic_open(os.path.join(out_dir, f"{name}.pgm")) as f:
             f.write(analysis.heatmap_pgm(matrix))
 
     hits = [k for k, a in enumerate(plan.actions("cached", cache_cfg)) if a == "hit"]

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import atomic_open
+
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
@@ -152,10 +154,10 @@ def _fit(images: np.ndarray, size: int) -> np.ndarray:
 def write_idx(images_u8: np.ndarray, labels: np.ndarray, images_path: str, labels_path: str):
     """Write uint8 [N, H, W] images and [N] labels as IDX files."""
     n, rows, cols = images_u8.shape
-    with open(images_path, "wb") as f:
+    with atomic_open(images_path) as f:
         f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols))
         f.write(images_u8.astype(np.uint8).tobytes())
-    with open(labels_path, "wb") as f:
+    with atomic_open(labels_path) as f:
         f.write(struct.pack(">II", IDX_LABEL_MAGIC, n))
         f.write(labels.astype(np.uint8).tobytes())
 

@@ -52,8 +52,10 @@ class BackboneConfig:
     mlp_ratio: int = 4
 
     def __post_init__(self):
-        if self.patch_size < 1 or self.n_heads < 1:
-            raise ValueError("patch_size and n_heads must be >= 1")
+        for key in ("image_size", "patch_size", "channels", "hidden_dim", "n_heads",
+                    "n_classes", "mlp_ratio"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
         if self.image_size % self.patch_size != 0:
             raise ValueError("image_size must be divisible by patch_size")
         if self.hidden_dim % self.n_heads != 0:
@@ -92,10 +94,10 @@ def _zeros(*shape) -> Tensor:
 
 
 def _modulation(cond: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """adaLN parameters of a condition: [n] for one sample, [B, 1, n] for a
-    batch of conditions [B, D], so that they broadcast over tokens."""
+    """adaLN parameters [..., 1, n] of a condition [..., D] ([D] for one
+    sample, [B, D] for a batch), so that they broadcast over tokens."""
     mod = matmul(silu(cond), w, b)
-    return mod if cond.ndim == 1 else reshape(mod, (mod.shape[0], 1, mod.shape[1]))
+    return reshape(mod, (*cond.shape[:-1], 1, mod.shape[-1]))
 
 
 class DiTBlock:

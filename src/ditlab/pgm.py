@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .checkpoint import atomic_open
+
 
 def pgm_bytes(img: np.ndarray) -> bytes:
     """Encode one image ([-1, 1] floats, shape [H, W] or [1, H, W]) as P5."""
@@ -19,5 +21,5 @@ def pgm_bytes(img: np.ndarray) -> bytes:
 
 
 def write_pgm(path: str, img: np.ndarray):
-    with open(path, "wb") as f:
+    with atomic_open(path) as f:
         f.write(pgm_bytes(img))

@@ -123,15 +123,9 @@ def test_matmul_shape_mismatch():
 
 
 def test_matmul_batched_matches_loop():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(3, 4, 5)).astype(np.float32)
-    b = rng.normal(size=(3, 5, 2)).astype(np.float32)
-    got = matmul(t(a), t(b), zeros(2)).data
-    for h in range(3):
-        assert np.allclose(got[h], matmul_oracle(a[h], b[h]), atol=1e-5)
-
     # [B, L, K] @ [K, N]: a batch of token rows against one weight, whose
     # gradient sums over every row of the batch in the weight's own shape
+    rng = np.random.default_rng(0)
     x = rng.normal(size=(3, 4, 5)).astype(np.float32)
     w = t(rng.normal(size=(5, 2)), grad=True)
     target = rng.normal(size=(3, 4, 2)).astype(np.float32)
@@ -323,8 +317,8 @@ def test_fused_ops_equal_the_unfused_chain_bit_for_bit(lead):
     def arr(*shape):
         return rng.normal(size=shape).astype(np.float32)
 
-    # adaLN parameters broadcast over tokens: [d] for one sample, [B, 1, d] for a batch
-    mod = (*lead, 1, d) if lead else (d,)
+    # adaLN parameters [..., 1, d] broadcast over tokens, as `_modulation` gives them
+    mod = (*lead, 1, d)
     cases = (
         (lambda x, sh, sc: layer_norm(x, sh, sc), ln_modulate_chain,
          (arr(*lead, L, d), arr(*mod), arr(*mod))),
@@ -352,6 +346,8 @@ def test_fused_ops_refuse_what_they_cannot_fuse():
     x = t(np.ones((2, 4, 6)))
     with pytest.raises(ValueError):
         matmul(x, t(np.ones((6, 3))), zeros(6))   # bias of the wrong width
+    with pytest.raises(ValueError):
+        matmul(x, t(np.ones((2, 6, 3))), zeros(3))  # a weight with batch axes
     with pytest.raises(ValueError):
         scaled_dot_attention(x, x, x, n_heads=4)  # 6 does not split into 4 heads
     q = np.zeros((4, 6), np.float32)

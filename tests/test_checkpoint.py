@@ -1,8 +1,11 @@
+import builtins
+import os
+
 import numpy as np
 import pytest
 
 from conftest import tiny_config
-from ditlab import DiT, make_feedback
+from ditlab import DiT, cli, make_feedback
 from ditlab.checkpoint import (
     ALIGN,
     config_hash,
@@ -11,6 +14,8 @@ from ditlab.checkpoint import (
     params_hash,
     save_checkpoint,
 )
+from ditlab.data import write_idx
+from ditlab.pgm import write_pgm
 
 
 def test_roundtrip_bitwise(tmp_path):
@@ -154,36 +159,39 @@ def test_truncated_or_bit_flipped_checkpoint_raises_only_value_error(tmp_path):
     assert rejected >= len(blob)  # every truncation at least
 
 
-def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
-    import builtins
-    import os
+class FailingFile:
+    """A file whose nth write raises, as a full disk would."""
 
+    def __init__(self, f, nth):
+        self.f, self.nth, self.writes = f, nth, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == self.nth:
+            raise OSError("no space left on device")
+        return self.f.write(data)
+
+
+def fail_nth_write(monkeypatch, nth):
+    """Make every file that `atomic_open` opens fail at its nth write."""
     from ditlab import checkpoint
 
+    monkeypatch.setattr(checkpoint, "open",
+                        lambda *a, **k: FailingFile(builtins.open(*a, **k), nth), raising=False)
+
+
+def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     path = str(tmp_path / "model.ckpt")
     old = {"backbone.w": np.full((4, 4), 1.5, np.float32)}
     save_checkpoint(path, old, "h1")
 
-    class FailingFile:
-        """A file whose third write raises, as a full disk would."""
-
-        def __init__(self, f):
-            self.f, self.writes = f, 0
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.f.close()
-
-        def write(self, data):
-            self.writes += 1
-            if self.writes == 3:
-                raise OSError("no space left on device")
-            return self.f.write(data)
-
-    monkeypatch.setattr(checkpoint, "open",
-                        lambda *a, **k: FailingFile(builtins.open(*a, **k)), raising=False)
+    fail_nth_write(monkeypatch, 3)
     with pytest.raises(OSError, match="no space"):
         save_checkpoint(path, {"backbone.w": np.zeros((4, 4), np.float32)}, "h2")
     monkeypatch.undo()
@@ -191,3 +199,26 @@ def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     arrays, header = load_checkpoint(path, expect_config_hash="h1")
     assert np.array_equal(arrays["backbone.w"], old["backbone.w"])
     assert os.listdir(tmp_path) == ["model.ckpt"]
+
+
+@pytest.mark.parametrize("writer", ["csv", "pgm", "idx"])
+def test_interrupted_output_write_leaves_no_file(tmp_path, monkeypatch, writer):
+    """CSV, PGM and IDX outputs are written as checkpoints are: a write that
+    raises partway leaves neither a file at the final path nor a temp file."""
+    img = np.zeros((8, 8), np.float32)
+    writes = {
+        "csv": (2, lambda: cli._write_csv(str(tmp_path / "cost.csv"), ("a", "b"),
+                                          [(1, 2), (3, 4)])),
+        "pgm": (1, lambda: write_pgm(str(tmp_path / "s.pgm"), img)),
+        "idx": (2, lambda: write_idx(np.zeros((2, 8, 8), np.uint8), np.zeros(2, np.uint8),
+                                     str(tmp_path / "i.idx"), str(tmp_path / "l.idx"))),
+    }
+    nth, write = writes[writer]
+    fail_nth_write(monkeypatch, nth)
+    with pytest.raises(OSError, match="no space"):
+        write()
+    assert os.listdir(tmp_path) == []
+    monkeypatch.undo()
+    write()  # the same write, uninterrupted, leaves its outputs and no temp file
+    names = os.listdir(tmp_path)
+    assert names and not [name for name in names if name.endswith(".tmp")]

@@ -192,6 +192,23 @@ def test_config_zero_divisors_and_counts_rejected_at_load(tmp_path, capsys):
             parse_run_config(d)
 
 
+def test_backbone_sizes_below_one_rejected_at_load(tmp_path, capsys):
+    # zero sizes used to end in a ZeroDivisionError traceback from the weight
+    # init; hidden_dim=-4 failed only at train time, naming no key
+    for key, value in (("hidden_dim", 0), ("hidden_dim", -4), ("mlp_ratio", -1),
+                       ("mlp_ratio", 0), ("image_size", 0), ("channels", 0),
+                       ("n_classes", 0)):
+        d = tiny_config_dict(str(tmp_path))
+        d["backbone"][key] = value
+        _one_error_line_and_no_output(capsys, tmp_path, d, says="section 'backbone'")
+        code = cli.main(["sample", write_config(tmp_path, d, "bad.json"),
+                         "--kind", "baseline", "--out", str(tmp_path / "never_written")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1 and len(err) == 1 and err[0].startswith("error:"), err
+        assert "section 'backbone'" in err[0] and key in err[0], err
+        assert not (tmp_path / "never_written").exists()
+
+
 def test_config_dataset_and_lr_checked_at_load(tmp_path, capsys):
     # each used to pass load; `train` then made out_dir and failed at the
     # first batch or forward naming no key, or trained on a negative lr

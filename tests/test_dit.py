@@ -288,6 +288,10 @@ def test_config_invariants():
         tiny_config(patch_size=0)
     with pytest.raises(ValueError):
         tiny_config(n_heads=0)
+    for key in ("image_size", "channels", "hidden_dim", "n_classes", "mlp_ratio"):
+        for value in (0, -1, -4):
+            with pytest.raises(ValueError, match=f"{key} must be >= 1"):
+                tiny_config(**{key: value})
 
 
 def test_named_params_stable_and_complete(tiny_model):

@@ -155,3 +155,28 @@ def test_tap_covers_effective_outputs(setup):
     assert len(taps) == model.cfg.n_blocks
     eps_plain, _ = ilf_forward(model, fs, x, 500.0, 250.0, 1)
     assert np.array_equal(eps.data, eps_plain.data)
+
+
+@pytest.mark.parametrize("which", ["forward", "ilf_forward"])
+def test_unbatched_call_is_a_batch_of_one(setup, which):
+    """One image takes a batch's path: its output equals row 0 of the same
+    call at B=1 in every bit, and each row of a B=3 call equals the image's
+    own call within float32 rounding."""
+    model, fs = setup
+    randomize(fs, np.random.default_rng(45), 0.08)  # live gates and s
+    rng = np.random.default_rng(46)
+    x = rng.normal(size=(3, 1, 8, 8)).astype(np.float32)
+    t, t_post = np.array([700.0, 420.0, 90.0]), np.array([500.0, 300.0, 60.0])
+    ids = np.array([1, 3, 0])
+
+    def run(j):  # an int for one image, a slice for a batch
+        if which == "forward":
+            return model.forward(x[j], t[j], ids[j]).data
+        return ilf_forward(model, fs, x[j], t[j], t_post[j], ids[j])[0].data
+
+    one = run(0)
+    assert one.shape == (1, 8, 8)
+    assert np.array_equal(one, run(slice(0, 1))[0])
+    batch = run(slice(0, 3))
+    for j in range(3):
+        np.testing.assert_allclose(batch[j], run(j), rtol=1e-5)
