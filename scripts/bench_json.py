@@ -13,7 +13,8 @@ Each run lasts BENCHMARK.json's `run_seconds`. Each checkout gets its own
 BENCH_<label>.json in the current directory. It holds every run's end-to-end
 metrics; per workload, the median and quartiles of each metric; the numpy
 version, BLAS build and BLAS thread count that perfbench ran with; and, with
---tier1, the wall time of the Tier-1 command in that checkout.
+--tier1, the wall time of the Tier-1 command in that checkout and the node
+ids of the tests it reported as failed or errored.
 """
 
 from __future__ import annotations
@@ -79,13 +80,17 @@ def run_once(path: str, workload: str, seed: int, seconds: float) -> dict:
 
 
 def run_tier1(path: str) -> dict:
+    """Wall time, exit code and last summary line of the Tier-1 command, and
+    the node ids of the FAILED / ERROR lines in pytest's short summary."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in ("src", os.environ.get("PYTHONPATH")) if p))
     t0 = time.perf_counter()
     proc = subprocess.run(TIER1, cwd=path, env=env, capture_output=True, text=True)
-    tail = (proc.stdout.strip().splitlines() or [""])[-1]
+    lines = proc.stdout.strip().splitlines() or [""]
+    failed = [ln.split(" ", 1)[1].split(" - ", 1)[0] for ln in lines
+              if ln.startswith(("FAILED ", "ERROR "))]
     return {"wall_s": round(time.perf_counter() - t0, 1), "exit": proc.returncode,
-            "summary": tail.strip("= ")}
+            "summary": lines[-1].strip("= "), "failed": failed}
 
 
 def summarize(runs: list, metrics: list) -> dict:

@@ -2,7 +2,9 @@
 
 The op set is deliberately small: exactly what an adaLN transformer block,
 its condition embeddings, and the training losses need. Tapes are built per
-forward pass and thrown away after backward(); there is no graph reuse.
+forward pass, and backward() frees each node's saved arrays as its walk
+passes it: afterwards only leaves keep a .grad (interior .grad is None), and
+there is no graph reuse.
 All storage is float32 and all forward ops are deterministic.
 
 Three ops are fused, each one tape node with a hand-written VJP:
@@ -33,7 +35,7 @@ _grad_enabled = True  # off inside no_grad(): ops then link no tape
 class Tensor:
     """A float32 array with an optional gradient buffer and tape linkage."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float32)
@@ -255,12 +257,11 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 def gelu(x: Tensor) -> Tensor:
     xd = x.data
-    sq = xd * xd
-    t = np.tanh(_GELU_C * (xd + 0.044715 * (sq * xd)))
+    t = np.tanh(_GELU_C * (xd + 0.044715 * (xd * xd * xd)))
     out = 0.5 * xd * (1.0 + t)
 
-    def vjp(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * sq)
+    def vjp(g):  # recomputes xd * xd rather than keep it on the tape
+        dinner = _GELU_C * (1.0 + 3 * 0.044715 * (xd * xd))
         local = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner
         return (g * local,)
 
@@ -359,8 +360,17 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tenso
 # ---------------------------------------------------------------------------
 
 
+def _released(g):
+    raise ValueError("backward() reached a tape node that an earlier backward() freed")
+
+
 def backward(loss: Tensor):
-    """Populate .grad on every requires_grad leaf reachable from a scalar loss."""
+    """Populate .grad on every requires_grad leaf reachable from a scalar loss.
+
+    The walk frees the tape as it goes: once a node's VJP has run, the node
+    drops its .grad, VJP and parents, so the arrays each op saved are freed
+    as soon as the walk has passed it. Afterwards only leaves hold a .grad,
+    and a later backward() that reaches a freed node raises ValueError."""
     if loss.data.size != 1:
         raise ValueError(f"backward() needs a scalar loss, got shape {loss.data.shape}")
 
@@ -381,11 +391,15 @@ def backward(loss: Tensor):
                 stack.append((p, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._vjp is None or node.grad is None:
+    while order:
+        node = order.pop()
+        if node._vjp is None:
+            continue  # a leaf keeps its .grad
+        grad, parents, vjp = node.grad, node._parents, node._vjp
+        node.grad, node._parents, node._vjp = None, (), _released
+        if grad is None:
             continue
-        grads = node._vjp(node.grad)
-        for parent, g in zip(node._parents, grads):
+        for parent, g in zip(parents, vjp(grad)):
             if g is None or not parent.requires_grad:
                 continue
             g = np.asarray(g, dtype=np.float32)

@@ -4,6 +4,7 @@ benchmark process."""
 import importlib.util
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -89,3 +90,28 @@ def test_bad_checkout_or_seed_is_refused(tmp_path):
         bench_json.main([f"x={tmp_path}", "--seeds", "1"])
     with pytest.raises(SystemExit):
         bench_json.main([f"x={ROOT}", "--seeds", "-1"])
+
+
+def test_tier1_keeps_the_failing_node_ids(monkeypatch):
+    stdout = "\n".join([
+        "..F.E.", "=========================== short test summary info ============================",
+        "FAILED tests/test_acceptance.py::test_criterion_11 - AssertionError: ratio 1.31",
+        "FAILED tests/test_dit.py::test_shape[B,L,d]",
+        "ERROR tests/test_data.py - SyntaxError: invalid syntax",
+        "==== 1 failed, 1 error, 4 passed in 3.02s ===="])
+    calls = []
+
+    def fake_run(cmd, cwd, env, capture_output, text):
+        calls.append((cmd, cwd, env["PYTHONPATH"].split(os.pathsep)[0]))
+        return subprocess.CompletedProcess(cmd, 1, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench_json.subprocess, "run", fake_run)
+    out = bench_json.run_tier1("/checkout")
+    assert calls == [(bench_json.TIER1, "/checkout", "src")]
+    assert out["exit"] == 1 and out["summary"] == "1 failed, 1 error, 4 passed in 3.02s"
+    assert out["failed"] == ["tests/test_acceptance.py::test_criterion_11",
+                             "tests/test_dit.py::test_shape[B,L,d]", "tests/test_data.py"]
+
+    monkeypatch.setattr(bench_json.subprocess, "run", lambda cmd, **kw:
+                        subprocess.CompletedProcess(cmd, 0, stdout="....\n== 4 passed ==\n"))
+    assert bench_json.run_tier1("/checkout")["failed"] == []
