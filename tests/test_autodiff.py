@@ -391,13 +391,12 @@ def test_backward_grad_accumulates_over_reuse():
 
 
 def small_chain():
-    """loss = sum((gelu(x @ w + b) * h)^2) over leaves x, w, b; returns the
+    """loss = sum(gelu(x @ w + b) ** 2) over leaves x, w, b; returns the
     loss, the leaves and the interior gelu output."""
     rng = np.random.default_rng(16)
     x, w, b = (t(rng.normal(size=s), grad=True) for s in ((3, 4), (4, 5), (5,)))
     inner = gelu(matmul(x, w, b))
-    y = mul(inner, inner)
-    return sum_all(y), (x, w, b), inner
+    return sum_all(mul(inner, inner)), (x, w, b), inner
 
 
 def test_backward_frees_the_tape_and_keeps_leaf_grads():
