@@ -250,10 +250,11 @@ def bench(entries, model=None, ns=None, fs=None, class_id=None, seed: int = 0,
           T: int = BackboneConfig.T) -> list:
     """Cost table over a grid of sampling configurations.
 
-    With mock_n set, nothing runs: each entry's plan is built at that width
-    on a T-step schedule, its count is plan.block_cost, and wall_ms is 0.
-    Otherwise the same plan is sampled on the model, and wall_ms is the best
-    of `repeats` runs. The speedup column is exact: baseline count / count.
+    Each entry's count is its plan's block_cost. With mock_n set, nothing
+    runs: the plan is built at that width on a T-step schedule, and wall_ms
+    is 0. Otherwise the plan is sampled on the model, and wall_ms is the
+    best of `repeats` runs. The speedup column is exact: baseline count /
+    count.
     """
     if mock_n is not None:
         n = mock_n
@@ -264,16 +265,14 @@ def bench(entries, model=None, ns=None, fs=None, class_id=None, seed: int = 0,
     counts, walls = [], []
     for entry in entries:
         plan, cache_cfg = entry.build(T, n)
+        counts.append(plan.block_cost(entry.kind, cache_cfg))
         if mock_n is not None:
-            counts.append(plan.block_cost(entry.kind, cache_cfg))
             walls.append(0.0)
             continue
-        runs = [sched.sample(entry.kind, model, ns, plan, class_id, seed,
-                             fs=fs if entry.kind == "ilf" else None,
-                             cache_cfg=cache_cfg, n_samples=n_samples)
-                for _ in range(repeats)]
-        counts.append(runs[-1].block_forwards)
-        walls.append(min(r.wall_ms for r in runs))
+        walls.append(min(sched.sample(entry.kind, model, ns, plan, class_id, seed,
+                                      fs=fs if entry.kind == "ilf" else None,
+                                      cache_cfg=cache_cfg, n_samples=n_samples).wall_ms
+                         for _ in range(repeats)))
 
     ref = next((i for i, e in enumerate(entries) if e.kind == "baseline"), 0)
     return [BenchRow(kind=entry.kind, config=entry.label(), block_forwards=count,

@@ -83,7 +83,8 @@ class CacheStore:
 def cached_run_block(model: DiT, idx: int, h: Tensor, cond: Tensor,
                      store: CacheStore, refresh: bool):
     """One block under caching. Returns (output, cost) with cost 1 on a
-    refresh (full run, branches captured) and 0 on a hit."""
+    refresh (full run, branches captured) and 0 on a hit; the traced
+    benchmark counts hits and refreshes from the cost."""
     if refresh:
         branches = []
         out = model.blocks[idx].run(h, cond, branches)
@@ -96,24 +97,19 @@ def cached_run_block(model: DiT, idx: int, h: Tensor, cond: Tensor,
 
 def cached_forward(model: DiT, x, t: float, class_id, cfg: CacheConfig,
                    store: CacheStore, refresh: bool, feats: list | None = None):
-    """Full model pass with caching applied to the configured blocks.
-    Returns (eps_hat, block_forward_count). Given a `feats` list, appends a
+    """Full model pass with the configured blocks run through
+    `cached_run_block`; returns eps_hat. Given a `feats` list, appends a
     copy of each block's output to it, hit or refresh."""
     n = model.cfg.n_blocks
     if any(b >= n for b in cfg.blocks):
         raise ValueError(f"cached block index out of range for {n} blocks")
     cached = set(cfg.blocks)
+
+    def run(i, h, cond):
+        if i in cached:
+            return cached_run_block(model, i, h, cond, store, refresh)[0]
+        return model.blocks[i].run(h, cond)
+
     h = model.patchify(x)
     cond = model.embed_condition(t, class_id)
-    count = 0
-    for i in range(n):
-        if i in cached:
-            h, c = cached_run_block(model, i, h, cond, store, refresh)
-            count += c
-        else:
-            h = model.blocks[i].run(h, cond)
-            count += 1
-        if feats is not None:
-            feats.append(h.data.copy())
-    return model.final_layer(h, cond), count
-
+    return model.final_layer(model.run_blocks(h, cond, range(n), feats, run), cond)

@@ -249,7 +249,7 @@ def main(argv=None) -> int:
             out = cmd_drift(args.config, args.out)
         else:
             out = cmd_bench(args.config)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(" ".join(f"{k}={v}" for k, v in out.items()))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass, field
@@ -151,8 +152,8 @@ class RunConfig:
 
 def _typed(tp, val, path: str):
     """`val` checked against the declared field type `tp`: int (not bool),
-    float (an int too), str, `X | None`, a tuple or list of typed items
-    (both from a JSON list), or a dataclass (from a JSON object)."""
+    finite float (an int too), str, `X | None`, a tuple or list of typed
+    items (both from a JSON list), or a dataclass (from a JSON object)."""
     if isinstance(tp, types.UnionType):  # `X | None`
         if val is None:
             return None
@@ -169,6 +170,8 @@ def _typed(tp, val, path: str):
     if not isinstance(val, wanted) or isinstance(val, bool):
         name = getattr(tp, "__name__", str(tp))
         raise ConfigError(f"config key {path!r} must be {name}, not {type(val).__name__}")
+    if isinstance(val, float) and not math.isfinite(val):
+        raise ConfigError(f"config key {path!r} must be finite, not {val}")
     return val
 
 

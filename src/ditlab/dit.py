@@ -6,13 +6,13 @@ are modulated by one condition, which `DiT.embed_condition` builds from
 sinusoidal features of a real-valued timestep, through a 2-layer MLP, plus
 the class id's row of a learned table. The adaLN modulation MLPs and the
 final projection are zero-initialized, so a freshly built block is exactly
-the identity on tokens and a fresh model predicts zero noise. A full pass
-given a `feats` list appends a copy of each block's [tokens, dim] output to
-it, for drift analysis; a block given a `branches` list appends its two
-gated residual branches to it, for caching. Every piece also takes a
-leading batch axis: images [B, C, H, W] with per-sample timesteps and class
-ids [B], each sample modulated by its own condition, as in DiT
-(arXiv 2212.09748).
+the identity on tokens and a fresh model predicts zero noise. The plain,
+feedback and cached passes all walk the blocks through `DiT.run_blocks`,
+which appends a copy of each block's output to a `feats` list, for drift
+analysis; a block given a `branches` list appends its two gated residual
+branches to it, for caching. Every piece also takes a leading batch axis:
+images [B, C, H, W] with per-sample timesteps and class ids [B], each
+sample modulated by its own condition, as in DiT (arXiv 2212.09748).
 """
 
 from __future__ import annotations
@@ -275,13 +275,21 @@ class DiT:
 
     # -- full passes ------------------------------------------------------
 
+    def run_blocks(self, h: Tensor, cond: Tensor, indices, feats: list | None = None,
+                   run=None) -> Tensor:
+        """Run blocks `indices` in order on h under cond, block i as
+        `run(i, h, cond)` if given, else `blocks[i].run(h, cond)`. Given a
+        `feats` list, append a copy of each block's output to it."""
+        for i in indices:
+            h = run(i, h, cond) if run is not None else self.blocks[i].run(h, cond)
+            if feats is not None:
+                feats.append(h.data.copy())
+        return h
+
     def forward(self, x, t: float, class_id: int, feats: list | None = None):
         """Predict the noise component of x at timestep t. Given a `feats`
         list, append a copy of each block's output to it."""
         h = self.patchify(x)
         cond = self.embed_condition(t, class_id)
-        for blk in self.blocks:
-            h = blk.run(h, cond)
-            if feats is not None:
-                feats.append(h.data.copy())
+        h = self.run_blocks(h, cond, range(self.cfg.n_blocks), feats)
         return self.final_layer(h, cond)

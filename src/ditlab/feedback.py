@@ -70,9 +70,10 @@ def ilf_forward(model: DiT, fs: FeedbackState, x, t, t_post, class_id,
     Blocks 0..e run under cond(t); the feedback block turns the loop-end
     features into f_feed; blocks b..e are re-run with s-scaled f_feed added
     to each input; the re-run, the tail blocks, and the final projection all
-    use cond(t_post). Returns (eps_hat, block_forward_count). Given a `feats`
-    list, appends a copy of each block's effective output to it: blocks
-    before the loop from the first pass, the rest from the re-run.
+    use cond(t_post). Returns (eps_hat, n + m + 1): the count is the closed
+    form, kept because the benchmark indexes the pair. Given a `feats` list,
+    appends a copy of each block's effective output to it: blocks before the
+    loop from the first pass, the rest from the re-run.
     """
     b, e = fs.loop_start, fs.loop_end
     n = model.cfg.n_blocks
@@ -81,30 +82,16 @@ def ilf_forward(model: DiT, fs: FeedbackState, x, t, t_post, class_id,
     if np.any(np.asarray(t_post) > np.asarray(t)):
         raise ValueError(f"t_post={t_post} must not exceed t={t}")
 
-    count = 0
     h = model.patchify(x)
     cond_t = model.embed_condition(t, class_id)
+    f_prev = model.run_blocks(h, cond_t, range(b), feats)
+    f_feed = fs.block.run(model.run_blocks(f_prev, cond_t, range(b, e + 1)), cond_t)
 
-    f_prev = h  # stands in for the block-(b-1) output when b == 0
-    for i in range(e + 1):
-        h = model.blocks[i].run(h, cond_t)
-        count += 1
-        if i == b - 1:
-            f_prev = h
-        if feats is not None and i < b:
-            feats.append(h.data.copy())
-
-    f_feed = fs.block.run(h, cond_t)
-    count += 1
+    def rerun(i, h, cond):
+        if i <= e:
+            h = mul(f_feed, slice_last(fs.s, i - b, i - b + 1)) + h
+        return model.blocks[i].run(h, cond)
 
     cond_post = model.embed_condition(t_post, class_id)
-    cur = f_prev
-    for i in range(b, n):
-        if i <= e:
-            cur = mul(f_feed, slice_last(fs.s, i - b, i - b + 1)) + cur
-        cur = model.blocks[i].run(cur, cond_post)
-        count += 1
-        if feats is not None:
-            feats.append(cur.data.copy())
-
-    return model.final_layer(cur, cond_post), count
+    h = model.run_blocks(f_prev, cond_post, range(b, n), feats, rerun)
+    return model.final_layer(h, cond_post), n + fs.m + 1

@@ -310,8 +310,8 @@ COST_COLUMNS = ("kind", "S", "n", "m", "feedback_steps", "block_forwards", "wall
 
 def _step_function(kind: str, model: DiT, plan: InferencePlan, fs, cache_cfg):
     """Check what `kind` needs and resolve it once, into a step function
-    (x, k, label, store, feats) -> (eps, block forwards) that runs the plan's
-    action at step k; a `feats` list receives the step's block outputs."""
+    (x, k, label, store, feats) -> eps that runs the plan's action at step k;
+    a `feats` list receives the step's block outputs."""
     actions = plan.actions(kind, cache_cfg)
     if plan.n_blocks != model.cfg.n_blocks:
         raise ValueError("plan was built for a different block count")
@@ -320,14 +320,13 @@ def _step_function(kind: str, model: DiT, plan: InferencePlan, fs, cache_cfg):
             raise ValueError("kind='ilf' needs a FeedbackState")
         if (fs.loop_start, fs.loop_end) != (plan.loop_start, plan.loop_end):
             raise ValueError("plan loop bounds disagree with the FeedbackState")
-    n = model.cfg.n_blocks
 
     def step(x, k, label, store, feats):
         action, t = actions[k], plan.steps[k]
         if action == "full":
-            return model.forward(x, t, label, feats), n
+            return model.forward(x, t, label, feats)
         if action == "feedback":
-            return ilf_forward(model, fs, x, t, plan.t_post(k), label, feats)
+            return ilf_forward(model, fs, x, t, plan.t_post(k), label, feats)[0]
         return cached_forward(model, x, t, label, cache_cfg, store, action == "refresh", feats)
 
     return step
@@ -336,20 +335,19 @@ def _step_function(kind: str, model: DiT, plan: InferencePlan, fs, cache_cfg):
 def sample(kind: str, model: DiT, ns: NoiseSchedule, plan: InferencePlan, class_id,
            seed: int, fs: FeedbackState | None = None, cache_cfg=None,
            n_samples: int = 1, taps: list | None = None) -> SampleResult:
-    """Run one sampling configuration and account for every block forward.
+    """Run one sampling configuration.
 
     No gradient tape is recorded, even if the model or feedback state is
-    still trainable. `block_forwards` is the counted total per image; it
-    equals plan.block_cost(kind, cache_cfg). class_id=None gives image j
-    the class j % n_classes. Given a `taps` list, appends one entry per
-    image to it: per plan step, the list of that step's block outputs
-    [tokens, dim], as a forward's `feats` list receives them.
+    still trainable. `block_forwards` is plan.block_cost(kind, cache_cfg),
+    per image. class_id=None gives image j the class j % n_classes. Given a
+    `taps` list, appends one entry per image to it: per plan step, the list
+    of that step's block outputs [tokens, dim], as `DiT.run_blocks`'s
+    `feats` list receives them.
     """
     step = _step_function(kind, model, plan, fs, cache_cfg)
     cfg = model.cfg
     shape = (cfg.channels, cfg.image_size, cfg.image_size)
     images, labels = [], []
-    per_image_blocks = None
 
     t0 = time.perf_counter()
     with no_grad():
@@ -358,20 +356,14 @@ def sample(kind: str, model: DiT, ns: NoiseSchedule, plan: InferencePlan, class_
             label = class_id if class_id is not None else j % cfg.n_classes
             x = rng.standard_normal(shape).astype(np.float32)
             store = CacheStore()  # read only by the cached step
-            count = 0
             sample_taps = []
             for k in range(plan.S):
                 t = plan.steps[k]
                 t_next = plan.steps[k + 1] if k + 1 < plan.S else 0.0
                 feats = [] if taps is not None else None
-                eps, c = step(x, k, label, store, feats)
+                eps = step(x, k, label, store, feats)
                 x = ddim_step(x, eps.data, t, t_next, ns)
-                count += c
                 sample_taps.append(feats)
-            if per_image_blocks is None:
-                per_image_blocks = count
-            elif per_image_blocks != count:
-                raise AssertionError("block-forward count varied across samples")
             images.append(x)
             labels.append(label)
             if taps is not None:
@@ -382,7 +374,7 @@ def sample(kind: str, model: DiT, ns: NoiseSchedule, plan: InferencePlan, class_
         images=np.stack(images),
         labels=labels,
         kind=kind,
-        block_forwards=per_image_blocks,
+        block_forwards=plan.block_cost(kind, cache_cfg),
         wall_ms=wall_ms,
         plan=plan,
         cache_cfg=cache_cfg,

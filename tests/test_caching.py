@@ -7,7 +7,6 @@ from ditlab.autodiff import Tensor
 from ditlab.caching import (
     CacheConfig,
     CacheStore,
-    cached_forward,
     cached_run_block,
     location_preset,
 )
@@ -94,16 +93,6 @@ def test_hit_before_refresh_is_an_error(model):
     cond = Tensor(np.zeros(16, np.float32))
     with pytest.raises(ValueError):
         cached_run_block(model, 0, h, cond, CacheStore(), refresh=False)
-
-
-def test_cached_forward_counts(model):
-    cfg = CacheConfig(blocks=(0, 2), refresh_period=2)
-    store = CacheStore()
-    x = np.random.default_rng(76).normal(size=(1, 8, 8)).astype(np.float32)
-    _, c_refresh = cached_forward(model, x, 500.0, 1, cfg, store, refresh=True)
-    assert c_refresh == model.cfg.n_blocks
-    _, c_hit = cached_forward(model, x, 400.0, 1, cfg, store, refresh=False)
-    assert c_hit == model.cfg.n_blocks - 2
 
 
 # ---------------------------------------------------------------------------

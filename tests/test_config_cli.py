@@ -220,7 +220,11 @@ def test_config_dataset_and_lr_checked_at_load(tmp_path, capsys):
             ("backbone_train", "batch_size", 64, "backbone_train.batch_size"),
             ("ilf.train", "batch_size", 17, "ilf.train.batch_size"),
             ("backbone_train", "lr", -1, "backbone_train"),
-            ("ilf.train", "lr", -0.5, "ilf.train")):
+            ("ilf.train", "lr", -0.5, "ilf.train"),
+            # json.load takes NaN and Infinity: NaN failed at the first
+            # softmax naming no key, Infinity after the backbone had trained
+            ("backbone_train", "lr", float("nan"), "backbone_train.lr"),
+            ("ilf.train", "w_recon", float("inf"), "ilf.train.w_recon")):
         d = tiny_config_dict(str(tmp_path))
         owner = d
         for part in section.split("."):
@@ -231,6 +235,17 @@ def test_config_dataset_and_lr_checked_at_load(tmp_path, capsys):
     d["backbone_train"]["lr"] = 0  # a zero rate is legal
     d["backbone_train"]["batch_size"] = 16  # the whole 16-image set
     assert len(parse_run_config(d).dataset()) == 16
+
+
+def test_diverging_training_ends_in_one_error_line(tmp_path, capsys):
+    # a finite weight that overflows float32 on the first feedback step used
+    # to end in a FloatingPointError traceback
+    d = tiny_config_dict(str(tmp_path / "run"))
+    d["ilf"]["train"]["w_distill"] = 1e39
+    assert cli.main(["train", write_config(tmp_path, d)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "non-finite feedback training loss" in err[0], err
 
 
 def test_negative_seeds_and_intervals_rejected_at_load(tmp_path, capsys):
