@@ -7,6 +7,13 @@ passes it: afterwards only leaves keep a .grad (interior .grad is None), and
 there is no graph reuse.
 All storage is float32 and all forward ops are deterministic.
 
+The tape holds nodes, not tensors: an op output that records one gets a
+`_Node` with its VJP and its parents' nodes. A VJP closes over the arrays
+its wanted gradients read, and computes no other: a matmul under a frozen
+weight keeps no input and computes no weight gradient, and gelu keeps only
+its input. So an activation outlives the forward code's hold on it only if
+a wanted gradient reads it.
+
 Three ops are fused, each one tape node with a hand-written VJP:
 `layer_norm` takes adaLN's shift and scale, `matmul` takes the bias, and
 `scaled_dot_attention` splits, attends over and merges the heads of
@@ -32,17 +39,35 @@ import numpy as np
 _grad_enabled = True  # off inside no_grad(): ops then link no tape
 
 
-class Tensor:
-    """A float32 array with an optional gradient buffer and tape linkage."""
+class _Node:
+    """One op on the tape: its VJP, the gradient summed into it during
+    backward(), and its parents' nodes (None where no gradient is wanted)."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "__weakref__")
+    __slots__ = ("_vjp", "grad", "_parents")
+
+    def __init__(self, vjp, parents):
+        self._vjp, self.grad, self._parents = vjp, None, parents
+
+
+class Tensor:
+    """A float32 array with an optional gradient buffer and tape node. A leaf
+    that wants a gradient is its own node: it has no VJP and no parents."""
+
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float32)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._vjp = None
+        self._node = None
+
+    @property
+    def _parents(self):
+        return self._node._parents if self._node else ()
+
+    @property
+    def _vjp(self):
+        return self._node._vjp if self._node else None
 
     @property
     def shape(self):
@@ -88,16 +113,23 @@ def no_grad():
         _grad_enabled = prev
 
 
+def _wants(*inputs):
+    """Which inputs want a gradient, or None when the op records no tape: the
+    op then returns Tensor(out) before it saves anything or builds a VJP."""
+    if _grad_enabled:
+        want = [x.requires_grad for x in inputs]
+        if True in want:
+            return want
+    return None
+
+
 def _make(data, parents, vjp) -> Tensor:
     out = Tensor(data)
-    if not _grad_enabled:
-        return out
-    for p in parents:
-        if p.requires_grad:
+    if _grad_enabled:
+        nodes = tuple([(p._node or p) if p.requires_grad else None for p in parents])
+        if any(nodes):
             out.requires_grad = True
-            out._parents = parents
-            out._vjp = vjp
-            break
+            out._node = _Node(vjp, nodes)
     return out
 
 
@@ -118,30 +150,43 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
+    want = _wants(a, b)
+    if want is None:
+        return Tensor(out)
+    sa, sb = a.data.shape, b.data.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, sa) if want[0] else None,
+                _unbroadcast(g, sb) if want[1] else None)
 
     return _make(out, (a, b), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
+    want = _wants(a, b)
+    if want is None:
+        return Tensor(out)
+    sa, sb = a.data.shape, b.data.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return (_unbroadcast(g, sa) if want[0] else None,
+                _unbroadcast(-g, sb) if want[1] else None)
 
     return _make(out, (a, b), vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
+    want = _wants(a, b)
+    if want is None:
+        return Tensor(out)
+    sa, sb = a.data.shape, b.data.shape
+    ad, bd = (a.data if want[1] else None), (b.data if want[0] else None)
 
     def vjp(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        )
+        return (_unbroadcast(g * bd, sa) if want[0] else None,
+                _unbroadcast(g * ad, sb) if want[1] else None)
 
     return _make(out, (a, b), vjp)
 
@@ -157,23 +202,25 @@ def matmul(a: Tensor, w: Tensor, bias: Tensor) -> Tensor:
         raise ValueError(f"matmul bias {bias.data.shape} does not fit {wd.shape}")
     out = ad @ wd
     out += bias.data
+    want = _wants(a, w, bias)
+    if want is None:
+        return Tensor(out)
+    shape, (k, n), bshape = ad.shape, wd.shape, bias.data.shape
+    ad, wd = (ad if want[1] else None), (wd if want[0] else None)
 
     def vjp(g):
-        g2 = g.reshape(-1, wd.shape[1])
-        rows = ad.reshape(-1, wd.shape[0])
-        return (g2 @ wd.T).reshape(ad.shape), rows.T @ g2, _unbroadcast(g, bias.data.shape)
+        g2 = g.reshape(-1, n)
+        return ((g2 @ wd.T).reshape(shape) if want[0] else None,
+                ad.reshape(-1, k).T @ g2 if want[1] else None,
+                _unbroadcast(g, bshape) if want[2] else None)
 
     return _make(out, (a, w, bias), vjp)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(shape)
-    out = x.data.reshape(shape)
-
-    def vjp(g):
-        return (g.reshape(x.data.shape),)
-
-    return _make(out, (x,), vjp)
+    old = x.data.shape
+    return _make(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
 
 
 def transpose(x: Tensor, axes) -> Tensor:
@@ -181,12 +228,7 @@ def transpose(x: Tensor, axes) -> Tensor:
     inv = [0] * len(axes)
     for i, axis in enumerate(axes):
         inv[axis] = i
-    out = x.data.transpose(axes)
-
-    def vjp(g):
-        return (g.transpose(inv),)
-
-    return _make(out, (x,), vjp)
+    return _make(x.data.transpose(axes), (x,), lambda g: (g.transpose(inv),))
 
 
 def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
@@ -194,10 +236,10 @@ def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
     extent = x.data.shape[-1]
     if not (0 <= start < stop <= extent):
         raise ValueError(f"bad slice [{start}:{stop}] for last axis of {extent}")
-    out = x.data[..., start:stop]
+    out, shape = x.data[..., start:stop], x.data.shape
 
     def vjp(g):
-        full = np.zeros_like(x.data)
+        full = np.zeros(shape, np.float32)
         full[..., start:stop] = g
         return (full,)
 
@@ -212,10 +254,10 @@ def take_row(table: Tensor, idx) -> Tensor:
     bad = idx[(idx < 0) | (idx >= rows)]
     if bad.size:
         raise ValueError(f"row {bad.flat[0]} out of range for table with {rows} rows")
-    out = table.data[idx]
+    out, shape = table.data[idx], table.data.shape
 
     def vjp(g):
-        full = np.zeros_like(table.data)
+        full = np.zeros(shape, np.float32)
         np.add.at(full, idx, g)
         return (full,)
 
@@ -223,22 +265,15 @@ def take_row(table: Tensor, idx) -> Tensor:
 
 
 def sum_all(x: Tensor) -> Tensor:
-    out = x.data.sum(dtype=np.float32)
-
-    def vjp(g):
-        return (np.broadcast_to(g, x.data.shape).astype(np.float32),)
-
-    return _make(out, (x,), vjp)
+    shape = x.data.shape
+    return _make(x.data.sum(dtype=np.float32), (x,),
+                 lambda g: (np.broadcast_to(g, shape).astype(np.float32),))
 
 
 def mean_all(x: Tensor) -> Tensor:
-    n = x.data.size
-    out = x.data.mean(dtype=np.float32)
-
-    def vjp(g):
-        return ((np.broadcast_to(g, x.data.shape) / n).astype(np.float32),)
-
-    return _make(out, (x,), vjp)
+    n, shape = x.data.size, x.data.shape
+    return _make(x.data.mean(dtype=np.float32), (x,),
+                 lambda g: ((np.broadcast_to(g, shape) / n).astype(np.float32),))
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:
@@ -260,7 +295,8 @@ def gelu(x: Tensor) -> Tensor:
     t = np.tanh(_GELU_C * (xd + 0.044715 * (xd * xd * xd)))
     out = 0.5 * xd * (1.0 + t)
 
-    def vjp(g):  # recomputes xd * xd rather than keep it on the tape
+    def vjp(g):  # recomputes t and xd * xd rather than keep them on the tape
+        t = np.tanh(_GELU_C * (xd + 0.044715 * (xd * xd * xd)))
         dinner = _GELU_C * (1.0 + 3 * 0.044715 * (xd * xd))
         local = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner
         return (g * local,)
@@ -269,13 +305,9 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def silu(x: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-x.data))
-    out = x.data * s
-
-    def vjp(g):
-        return (g * (s * (1.0 + x.data * (1.0 - s))),)
-
-    return _make(out, (x,), vjp)
+    xd = x.data
+    s = 1.0 / (1.0 + np.exp(-xd))
+    return _make(xd * s, (x,), lambda g: (g * (s * (1.0 + xd * (1.0 - s))),))
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -313,16 +345,23 @@ def layer_norm(x: Tensor, shift: Tensor, scale: Tensor, eps: float = 1e-6) -> Te
     gain = scale.data + np.float32(1.0)
     out = normed * gain
     out += shift.data
-
-    def vjp(g):
-        gn = g * gain
-        gm = gn.sum(axis=-1, keepdims=True) / d
-        proj = (gn * normed).sum(axis=-1, keepdims=True) / d
-        return (inv * (gn - gm - normed * proj), _unbroadcast(g * normed, scale.data.shape),
-                _unbroadcast(g, shift.data.shape))
-
     # parents in this order keep the tape's traversal, and so the order in
     # which gradients accumulate, that of the unfused chain
+    want = _wants(x, scale, shift)
+    if want is None:
+        return Tensor(out)
+    sscale, sshift = scale.data.shape, shift.data.shape
+
+    def vjp(g):
+        gx = None
+        if want[0]:
+            gn = g * gain
+            gm = gn.sum(axis=-1, keepdims=True) / d
+            proj = (gn * normed).sum(axis=-1, keepdims=True) / d
+            gx = inv * (gn - gm - normed * proj)
+        return (gx, _unbroadcast(g * normed, sscale) if want[1] else None,
+                _unbroadcast(g, sshift) if want[2] else None)
+
     return _make(out, (x, scale, shift), vjp)
 
 
@@ -343,14 +382,24 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tenso
     scores *= scale
     p = _softmax_rows(scores)
     out = (p @ vh).swapaxes(-3, -2).reshape(shape)
+    want = _wants(q, k, v)
+    if want is None:
+        return Tensor(out)
+    # q's gradient reads k, k's reads q, and both read v
+    wq, wk, wv = want
+    qh, kh, vh = (qh if wk else None), (kh if wq else None), (vh if wq or wk else None)
 
     def vjp(g):
         gh = g.reshape(split).swapaxes(-3, -2)
-        gv = p.swapaxes(-1, -2) @ gh
-        gs = _softmax_vjp(p, gh @ vh.swapaxes(-1, -2)) * scale
-        gq = gs @ kh
-        gk = (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
-        return tuple(gx.swapaxes(-3, -2).reshape(shape) for gx in (gq, gk, gv))
+        gq = gk = gv = None
+        if wv:
+            gv = p.swapaxes(-1, -2) @ gh
+        if wq or wk:
+            gs = _softmax_vjp(p, gh @ vh.swapaxes(-1, -2)) * scale
+            gq = gs @ kh if wq else None
+            gk = (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2) if wk else None
+        return tuple(gx if gx is None else gx.swapaxes(-3, -2).reshape(shape)
+                     for gx in (gq, gk, gv))
 
     return _make(out, (q, k, v), vjp)
 
@@ -367,16 +416,19 @@ def _released(g):
 def backward(loss: Tensor):
     """Populate .grad on every requires_grad leaf reachable from a scalar loss.
 
-    The walk frees the tape as it goes: once a node's VJP has run, the node
-    drops its .grad, VJP and parents, so the arrays each op saved are freed
-    as soon as the walk has passed it. Afterwards only leaves hold a .grad,
-    and a later backward() that reaches a freed node raises ValueError."""
+    The walk visits tape nodes, never tensors: an interior output whose
+    array no VJP saved is gone before the walk starts. It frees the tape as
+    it goes: once a node's VJP has run, the node drops its gradient, VJP and
+    parents, so the arrays that VJP saved are freed as soon as the walk has
+    passed it. Afterwards only leaves hold a .grad, and a later backward()
+    that reaches a freed node raises ValueError."""
     if loss.data.size != 1:
         raise ValueError(f"backward() needs a scalar loss, got shape {loss.data.shape}")
 
+    root = loss._node or loss
     order = []
     visited = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -387,10 +439,10 @@ def backward(loss: Tensor):
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in visited and p.requires_grad:
+            if p is not None and id(p) not in visited:
                 stack.append((p, False))
 
-    loss.grad = np.ones_like(loss.data)
+    root.grad = np.ones_like(loss.data)
     while order:
         node = order.pop()
         if node._vjp is None:
@@ -400,7 +452,6 @@ def backward(loss: Tensor):
         if grad is None:
             continue
         for parent, g in zip(parents, vjp(grad)):
-            if g is None or not parent.requires_grad:
-                continue
-            g = np.asarray(g, dtype=np.float32)
-            parent.grad = g if parent.grad is None else parent.grad + g
+            if parent is not None and g is not None:
+                g = np.asarray(g, dtype=np.float32)
+                parent.grad = g if parent.grad is None else parent.grad + g

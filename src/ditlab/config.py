@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import types
 import typing
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .analysis import BenchEntry
 from .data import SHAPES_MIN_SIZE, Dataset, gen_shapes, load_idx
@@ -152,8 +153,9 @@ class RunConfig:
 
 def _typed(tp, val, path: str):
     """`val` checked against the declared field type `tp`: int (not bool),
-    finite float (an int too), str, `X | None`, a tuple or list of typed
-    items (both from a JSON list), or a dataclass (from a JSON object)."""
+    float (an int too) that float32 holds finite, str, `X | None`, a tuple or
+    list of typed items (both from a JSON list), or a dataclass (from a JSON
+    object)."""
     if isinstance(tp, types.UnionType):  # `X | None`
         if val is None:
             return None
@@ -170,8 +172,8 @@ def _typed(tp, val, path: str):
     if not isinstance(val, wanted) or isinstance(val, bool):
         name = getattr(tp, "__name__", str(tp))
         raise ConfigError(f"config key {path!r} must be {name}, not {type(val).__name__}")
-    if isinstance(val, float) and not math.isfinite(val):
-        raise ConfigError(f"config key {path!r} must be finite, not {val}")
+    if tp is float and not abs(val) <= float(np.finfo(np.float32).max):
+        raise ConfigError(f"config key {path!r} must be a finite float32, not {val}")
     return val
 
 

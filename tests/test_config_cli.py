@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -238,14 +239,24 @@ def test_config_dataset_and_lr_checked_at_load(tmp_path, capsys):
 
 
 def test_diverging_training_ends_in_one_error_line(tmp_path, capsys):
-    # a finite weight that overflows float32 on the first feedback step used
-    # to end in a FloatingPointError traceback
+    # a loss that overflows during training used to end in a
+    # FloatingPointError traceback
     d = tiny_config_dict(str(tmp_path / "run"))
-    d["ilf"]["train"]["w_distill"] = 1e39
+    d["backbone_train"]["lr"] = 1e30
     assert cli.main(["train", write_config(tmp_path, d)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
-    assert "non-finite feedback training loss" in err[0], err
+    assert "non-finite backbone training loss" in err[0], err
+
+
+def test_float_beyond_float32_is_refused_at_load(tmp_path, capsys):
+    # 1e39 used to load, overflow float32 on the first feedback step with a
+    # numpy RuntimeWarning, and end in an error naming no key
+    d = tiny_config_dict(str(tmp_path))
+    d["ilf"]["train"]["w_distill"] = 1e39
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _one_error_line_and_no_output(capsys, tmp_path, d, says="ilf.train.w_distill")
 
 
 def test_negative_seeds_and_intervals_rejected_at_load(tmp_path, capsys):
