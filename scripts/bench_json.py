@@ -15,6 +15,12 @@ metrics; per workload, the median and quartiles of each metric; the numpy
 version, BLAS build and BLAS thread count that perfbench ran with; and, with
 --tier1, the wall time of the Tier-1 command in that checkout and the node
 ids of the tests it reported as failed or errored.
+
+Given more than one checkout, each workload entry also holds, under
+`versus`, the verdict against each other checkout for every end-to-end
+metric: the other's median, the ratio of the medians, on how many seeds
+this checkout read better, and whether its median is worse than the
+other's by more than the metric's `bound` in BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -106,6 +112,29 @@ def summarize(runs: list, metrics: list) -> dict:
     return out
 
 
+def versus(runs: list, other: list, metrics: list) -> dict:
+    """Per end-to-end metric, `runs` against the `other` checkout's runs: the
+    other's median, the ratio of the medians (this / other), on how many of
+    the seeds both measured this side read better (ties count for neither),
+    and whether this side's median is worse by more than the metric's bound."""
+    def by_seed(rs, name):
+        return {r["seed"]: r["metrics"][name] for r in rs if name in r.get("metrics", {})}
+
+    out = {}
+    for m in metrics:
+        mine, theirs = by_seed(runs, m["name"]), by_seed(other, m["name"])
+        if not (mine and theirs):
+            continue
+        a, b = (quartiles(list(d.values()))["median"] for d in (mine, theirs))
+        sign = 1 if m["better"] == "lower" else -1  # > 0: this side reads worse
+        seeds = [s for s in mine if s in theirs]
+        out[m["name"]] = {"other_median": b, "ratio": a / b,
+                          "better_on": sum(sign * (mine[s] - theirs[s]) < 0 for s in seeds),
+                          "pairs": len(seeds),
+                          "worse_beyond_bound": sign * (a - b) > m["bound"] * b}
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkouts", nargs="+", metavar="LABEL=DIR")
@@ -151,7 +180,9 @@ def main(argv=None) -> int:
                "seeds": args.seeds, "alternated_with": [lb for lb, _ in checkouts if lb != label],
                "environment": environment,
                "tier1": run_tier1(path) if args.tier1 else None,
-               "workloads": {name: summarize(rs, spec["end_to_end"])
+               "workloads": {name: {**summarize(rs, spec["end_to_end"]),
+                                    "versus": {lb: versus(rs, runs[lb][name], spec["end_to_end"])
+                                               for lb, _ in checkouts if lb != label}}
                              for name, rs in runs[label].items()}}
         out = f"BENCH_{label}.json"
         with open(out, "w") as f:

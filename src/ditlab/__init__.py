@@ -22,9 +22,6 @@ from .schedule import (
     noise_sample,
     sample,
     spacing,
-    t_post_annealed,
-    t_post_rescaled,
-    t_post_uniform,
 )
 from .training import BackboneTrainConfig, TrainConfig, train_backbone, train_feedback
 

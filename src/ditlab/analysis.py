@@ -194,14 +194,13 @@ class BenchEntry:
     steps: int
     preset: str = "all"
     tpost_mode: str = "rescaled"
-    orientation: str = "n_over_m"
     loop: tuple[int, int] | None = None  # (b, e) for ilf
     cache_location: str = "inner"
     cache_count: int = 0
     refresh_period: int = 2
 
     # the fields that only one kind reads, each to that kind
-    ONLY_FOR = {"preset": "ilf", "tpost_mode": "ilf", "orientation": "ilf", "loop": "ilf",
+    ONLY_FOR = {"preset": "ilf", "tpost_mode": "ilf", "loop": "ilf",
                 "cache_location": "cached", "cache_count": "cached", "refresh_period": "cached"}
 
     def build(self, T: int, n_blocks: int) -> tuple:
@@ -214,8 +213,7 @@ class BenchEntry:
         elif self.loop is None:
             raise ValueError("ilf bench entry needs a loop")
         else:
-            plan = sched.make_plan(self.steps, T, self.tpost_mode, self.preset, self.loop,
-                                   n_blocks, self.orientation)
+            plan = sched.make_plan(self.steps, T, self.tpost_mode, self.preset, self.loop, n_blocks)
         if self.kind != "cached":
             return plan, None
         return plan, CacheConfig.from_preset(self.cache_location, self.cache_count, n_blocks,

@@ -58,7 +58,6 @@ class PlanConfig:
     steps: int = 8
     tpost_mode: str = "rescaled"
     preset: str = "skip_inner"
-    orientation: str = "n_over_m"
 
 
 @dataclass
@@ -112,8 +111,7 @@ class RunConfig:
         """(plan, cache config) that sampling as `kind` runs, from the plan,
         ilf and cache sections; the cache config is None unless kind='cached'."""
         p, c = self.plan, self.cache
-        entry = BenchEntry(kind=kind, steps=p.steps, preset=p.preset,
-                           tpost_mode=p.tpost_mode, orientation=p.orientation,
+        entry = BenchEntry(kind=kind, steps=p.steps, preset=p.preset, tpost_mode=p.tpost_mode,
                            loop=(self.ilf.loop_start, self.ilf.loop_end),
                            cache_location=c.location, cache_count=c.count,
                            refresh_period=c.refresh_period)

@@ -23,10 +23,10 @@ from .dit import DiT
 from .feedback import FeedbackState, ilf_forward
 
 TPOST_MODES = ("uniform", "rescaled", "annealed", "identity")
-ORIENTATIONS = ("n_over_m", "m_over_n")
 KINDS = ("baseline", "ilf", "cached")
 
 ANNEAL_FLOOR = 10.0
+BETA_MIN, BETA_MAX = 1e-4, 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -48,17 +48,12 @@ class NoiseSchedule:
         return float(np.interp(t, np.arange(self.T + 1), self.alpha_bar))
 
 
-def make_schedule(T: int, beta_min: float = 1e-4, beta_max: float = 0.02) -> NoiseSchedule:
-    """Linear beta schedule over T steps."""
+def make_schedule(T: int) -> NoiseSchedule:
+    """Linear beta schedule over T steps, from BETA_MIN to BETA_MAX."""
     if T < 1:
         raise ValueError("T must be >= 1")
-    if not (0.0 < beta_min <= beta_max < 1.0):
-        raise ValueError(f"bad beta range ({beta_min}, {beta_max})")
     beta = np.zeros(T + 1, dtype=np.float64)
-    if T == 1:
-        beta[1] = beta_min
-    else:
-        beta[1:] = np.linspace(beta_min, beta_max, T)
+    beta[1:] = np.linspace(BETA_MIN, BETA_MAX, T)
     alpha = 1.0 - beta
     alpha_bar = np.cumprod(alpha)
     return NoiseSchedule(T=T, beta=beta, alpha=alpha, alpha_bar=alpha_bar)
@@ -93,40 +88,6 @@ def ddim_step(x_t: np.ndarray, eps_hat: np.ndarray, t: float, t_next: float,
 
 
 # ---------------------------------------------------------------------------
-# post-feedback time rules
-# ---------------------------------------------------------------------------
-
-
-def t_post_uniform(t: float, i: float) -> float:
-    if i < 0:
-        raise ValueError("step gap must be >= 0")
-    return t - i / 2.0
-
-
-def t_post_rescaled(t: float, i: float, m: int, n: int) -> float:
-    """Shift t by the step gap weighted by the loop's share of the depth."""
-    if not (0 < m <= n):
-        raise ValueError(f"need 0 < m <= n, got m={m}, n={n}")
-    return t - i * (m / n)
-
-
-def t_post_annealed(t: float, i: float, m: int, n: int,
-                    orientation: str = "n_over_m", t_ref: float = 1000.0) -> float:
-    """Annealed shift: the subtracted amount shrinks as t falls, floored at 10.
-
-    The printed ratio is n/m; orientation="m_over_n" flips it. The t/1000
-    factor generalizes to t/t_ref for schedules with T != 1000.
-    """
-    if not (0 < m <= n):
-        raise ValueError(f"need 0 < m <= n, got m={m}, n={n}")
-    if orientation not in ORIENTATIONS:
-        raise ValueError(f"unknown orientation {orientation!r}")
-    ratio = (n / m) if orientation == "n_over_m" else (m / n)
-    shift = max(i * ratio * (t / t_ref), ANNEAL_FLOOR)
-    return max(t - shift, 0.0)
-
-
-# ---------------------------------------------------------------------------
 # inference plans
 # ---------------------------------------------------------------------------
 
@@ -158,7 +119,6 @@ class InferencePlan:
     steps: tuple          # descending real timesteps t_1 > ... > t_S
     feedback: tuple       # per-step bool
     tpost_mode: str
-    orientation: str
     loop_start: int
     loop_end: int
     n_blocks: int
@@ -173,8 +133,6 @@ class InferencePlan:
             raise ValueError("plan steps must be strictly descending")
         if self.tpost_mode not in TPOST_MODES:
             raise ValueError(f"unknown tpost_mode {self.tpost_mode!r}")
-        if self.orientation not in ORIENTATIONS:
-            raise ValueError(f"unknown orientation {self.orientation!r}")
         if not (0 <= self.loop_start <= self.loop_end < self.n_blocks):
             raise ValueError(f"loop ({self.loop_start}, {self.loop_end}) invalid for "
                              f"{self.n_blocks} blocks")
@@ -224,36 +182,35 @@ class InferencePlan:
         return sum(cost[a] for a in actions)
 
     def t_post_at(self, t: float) -> float:
-        """The plan's one t_post rule, for any t in (0, T]: the tpost_mode
-        rule at the gap of the plan step k whose interval (t_{k+1}, t_k]
-        holds t. The sampler takes it at plan steps, through t_post(k); the
-        feedback trainer conditions on it at every drawn t."""
+        """The plan's one t_post rule, for any t in (0, T]: t less the
+        tpost_mode shift at the gap i of the plan step k whose interval
+        (t_{k+1}, t_k] holds t, clamped to [0, t]. The sampler takes it at
+        plan steps, through t_post(k); the feedback trainer conditions on it
+        at every drawn t."""
         if not (0 < t <= self.T):
             raise ValueError(f"t={t} outside (0, {self.T}]")
         k = sum(s >= t for s in self.steps) - 1
-        i = self.gap(k)
+        i, m, n = self.gap(k), self.m, self.n_blocks
         mode = self.tpost_mode
         if mode == "annealed" and k == 0:
             mode = "rescaled"  # the first plan step always uses the rescaled rule
         if mode == "identity":
-            tp = t
+            shift = 0.0
         elif mode == "uniform":
-            tp = t_post_uniform(t, i)
+            shift = i / 2.0
         elif mode == "rescaled":
-            tp = t_post_rescaled(t, i, self.m, self.n_blocks)
+            shift = i * (m / n)
         else:
-            tp = t_post_annealed(t, i, self.m, self.n_blocks, self.orientation, float(self.T))
-        return min(max(tp, 0.0), t)
+            shift = max(i * (n / m) * (t / self.T), ANNEAL_FLOOR)
+        return min(max(t - shift, 0.0), t)
 
 
-def make_plan(S: int, T: int, mode: str, preset: str, loop, n_blocks: int,
-              orientation: str = "n_over_m") -> InferencePlan:
+def make_plan(S: int, T: int, mode: str, preset: str, loop, n_blocks: int) -> InferencePlan:
     b, e = loop
     return InferencePlan(
         steps=tuple(spacing(S, T)),
         feedback=tuple(_preset_flags(preset, S)),
         tpost_mode=mode,
-        orientation=orientation,
         loop_start=int(b),
         loop_end=int(e),
         n_blocks=int(n_blocks),

@@ -116,14 +116,17 @@ def _descend(loss: Tensor, opt: Adam, what: str):
 def _train_loop(params, dataset: Dataset, cfg: TrainLoopConfig, step_fn, on_checkpoint) -> list:
     """The loop both trainers share: Adam over `params`, draws from rng
     [seed, 17], batches from rng [seed, 31], and one step_fn(images, labels,
-    rng, opt) per iteration, whose tape is gone before the checkpoint callback."""
+    rng, opt) per iteration, whose tape is gone before the checkpoint callback.
+    A diverging step may overflow; its numpy warnings are silenced, since
+    `_descend` refuses the non-finite loss that follows."""
     opt = Adam(params, lr=cfg.lr)
     rng = np.random.default_rng([cfg.seed, 17])
     stream = batches(dataset, cfg.batch_size, np.random.default_rng([cfg.seed, 31]))
     curve = []
     for step in range(cfg.iterations):
         images, labels = next(stream)
-        curve.append(step_fn(images, labels, rng, opt))
+        with np.errstate(over="ignore", invalid="ignore"):
+            curve.append(step_fn(images, labels, rng, opt))
         if on_checkpoint and cfg.checkpoint_interval and (step + 1) % cfg.checkpoint_interval == 0:
             on_checkpoint(step + 1)
     return curve

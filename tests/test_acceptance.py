@@ -25,9 +25,6 @@ from ditlab.schedule import (
     make_plan,
     noise_sample,
     sample,
-    t_post_annealed,
-    t_post_rescaled,
-    t_post_uniform,
 )
 from ditlab.training import TrainConfig, train_feedback
 
@@ -184,10 +181,14 @@ def test_criterion_05_forward_noising_statistics(trained_toy):
 
 def test_criterion_06_t_post_rules():
     with criterion(6, "post-feedback time rules, 1e-9 exact"):
-        assert abs(t_post_rescaled(1000, 100, 12, 28) - 957.142857142857142) < 1e-9
-        assert abs(t_post_annealed(900, 100, 12, 28, "n_over_m") - 690.0) < 1e-9
-        for t, i in ((1000.0, 100.0), (500.0, 62.5), (77.0, 0.0)):
-            assert abs(t_post_uniform(t, i) - (t - i / 2)) < 1e-9
+        rescaled = make_plan(10, 1000, "rescaled", "all", (8, 19), 28)
+        assert abs(rescaled.t_post(0) - 957.142857142857142) < 1e-9
+        annealed = make_plan(10, 1000, "annealed", "all", (8, 19), 28)
+        assert abs(annealed.t_post(1) - 690.0) < 1e-9
+        for S, k, t, i in ((10, 0, 1000.0, 100.0), (16, 8, 500.0, 62.5)):
+            uniform = make_plan(S, 1000, "uniform", "all", (8, 19), 28)
+            assert (uniform.steps[k], uniform.gap(k)) == (t, i)
+            assert abs(uniform.t_post(k) - (t - i / 2)) < 1e-9
 
 
 def test_criterion_07_caching_equivalences(trained_toy):

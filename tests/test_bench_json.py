@@ -85,6 +85,41 @@ def test_checkouts_alternate_and_each_gets_its_file(tmp_path, monkeypatch):
     assert b["workloads"][first]["metrics"]["setup_s"]["n"] == 2
 
 
+def test_each_file_holds_its_verdict_against_the_other_checkout(tmp_path, monkeypatch):
+    checkouts = {}
+    for label in ("a", "b"):
+        (tmp_path / label / "perfbench").mkdir(parents=True)
+        (tmp_path / label / "perfbench" / "run.py").write_text("")
+        checkouts[label] = str(tmp_path / label)
+    setup = {"a": {1: 1.0, 2: 2.0, 3: 3.0}, "b": {1: 1.5, 2: 1.0, 3: 4.0}}  # lower is better
+    iters = {"a": {1: 10.0, 2: 10.0, 3: 10.0}, "b": {1: 10.0, 2: 7.0, 3: 7.0}}  # higher
+
+    def fake_run(path, workload, seed, seconds):
+        label = os.path.basename(path)
+        return {**ok_run(seed, 0.0), "metrics": {"setup_s": setup[label][seed],
+                                                 "backbone_train_iters_per_s": iters[label][seed]}}
+
+    monkeypatch.setattr(bench_json, "run_once", fake_run)
+    monkeypatch.chdir(tmp_path)
+    assert bench_json.main([f"{lb}={p}" for lb, p in checkouts.items()]
+                           + ["--seeds", "1", "2", "3"]) == 0
+    a, b = (json.loads((tmp_path / f"BENCH_{lb}.json").read_text()) for lb in ("a", "b"))
+    first = sorted(a["workloads"])[0]
+    a_vs, b_vs = a["workloads"][first]["versus"]["b"], b["workloads"][first]["versus"]["a"]
+    assert sorted(a_vs) == sorted(b_vs) == ["backbone_train_iters_per_s", "setup_s"]
+    # setup_s: medians 2.0 against 1.5; 2.0 > 1.5 * 1.25, so a is worse beyond the bound
+    assert a_vs["setup_s"] == {"other_median": 1.5, "ratio": 2.0 / 1.5, "better_on": 2,
+                               "pairs": 3, "worse_beyond_bound": True}
+    assert b_vs["setup_s"] == {"other_median": 2.0, "ratio": 0.75, "better_on": 1,
+                               "pairs": 3, "worse_beyond_bound": False}
+    # iters/s: medians 7.0 against 10.0; 7.0 < 10.0 * 0.75, and seed 1 is a tie
+    assert b_vs["backbone_train_iters_per_s"] == {
+        "other_median": 10.0, "ratio": 0.7, "better_on": 0, "pairs": 3,
+        "worse_beyond_bound": True}
+    assert a_vs["backbone_train_iters_per_s"]["better_on"] == 2
+    assert not a_vs["backbone_train_iters_per_s"]["worse_beyond_bound"]
+
+
 def test_bad_checkout_or_seed_is_refused(tmp_path):
     with pytest.raises(SystemExit):
         bench_json.main([f"x={tmp_path}", "--seeds", "1"])

@@ -11,8 +11,7 @@ from ditlab.config import ConfigError, load_run_config, parse_run_config
 
 
 def tiny_config_dict(out_dir, **plan_overrides):
-    plan = {"steps": 5, "tpost_mode": "rescaled", "preset": "all",
-            "orientation": "n_over_m"}
+    plan = {"steps": 5, "tpost_mode": "rescaled", "preset": "all"}
     plan.update(plan_overrides)
     return {
         "seed": 3,
@@ -71,6 +70,15 @@ def test_config_unknown_key_named(tmp_path):
     d = tiny_config_dict(str(tmp_path))
     d["backbone"]["hidden_dmi"] = 32
     with pytest.raises(ConfigError, match="backbone.'hidden_dmi'"):
+        parse_run_config(d)
+    # the annealed-ratio orientation key is gone: n/m is the only ratio
+    d = tiny_config_dict(str(tmp_path))
+    d["plan"]["orientation"] = "n_over_m"
+    with pytest.raises(ConfigError, match="plan.'orientation'"):
+        parse_run_config(d)
+    d = tiny_config_dict(str(tmp_path))
+    d["bench"]["entries"][1]["orientation"] = "n_over_m"
+    with pytest.raises(ConfigError, match=r"bench.entries\[1\].'orientation'"):
         parse_run_config(d)
 
 
@@ -243,10 +251,13 @@ def test_diverging_training_ends_in_one_error_line(tmp_path, capsys):
     # FloatingPointError traceback
     d = tiny_config_dict(str(tmp_path / "run"))
     d["backbone_train"]["lr"] = 1e30
-    assert cli.main(["train", write_config(tmp_path, d)]) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["train", write_config(tmp_path, d)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
     assert "non-finite backbone training loss" in err[0], err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
 
 
 def test_float_beyond_float32_is_refused_at_load(tmp_path, capsys):
@@ -308,7 +319,7 @@ def test_bench_entry_keys_must_apply_to_the_kind(tmp_path, capsys):
     d = tiny_config_dict(str(tmp_path))
     d["bench"]["entries"] += [
         {"kind": "ilf", "steps": 10, "preset": "all", "tpost_mode": "uniform",
-         "orientation": "n_over_m", "loop": [8, 19]},
+         "loop": [8, 19]},
         {"kind": "cached", "steps": 5, "cache_location": "inner", "cache_count": 2,
          "refresh_period": 3}]
     assert [e.kind for e in parse_run_config(d).bench.entries] == [

@@ -19,9 +19,6 @@ from ditlab.schedule import (
     noise_sample,
     sample,
     spacing,
-    t_post_annealed,
-    t_post_rescaled,
-    t_post_uniform,
 )
 
 
@@ -31,8 +28,8 @@ from ditlab.schedule import (
 
 
 def test_single_step_schedule():
-    ns = make_schedule(1, 0.1, 0.1)
-    assert np.isclose(ns.alpha_bar[1], 0.9)
+    ns = make_schedule(1)
+    assert ns.alpha_bar[1] == 1.0 - 1e-4
     assert ns.alpha_bar[0] == 1.0
 
 
@@ -45,7 +42,7 @@ def test_alpha_bar_monotone_default():
 
 
 def test_alpha_bar_matches_cumprod_oracle():
-    ns = make_schedule(5, 0.1, 0.3)
+    ns = make_schedule(5)
     direct = 1.0
     for t in range(1, 6):
         direct *= 1.0 - ns.beta[t]
@@ -56,10 +53,6 @@ def test_alpha_bar_matches_cumprod_oracle():
 def test_make_schedule_rejects_bad_ranges():
     with pytest.raises(ValueError):
         make_schedule(0)
-    with pytest.raises(ValueError):
-        make_schedule(10, 0.2, 0.1)
-    with pytest.raises(ValueError):
-        make_schedule(10, 0.0, 0.1)
 
 
 def test_noise_sample_endpoints():
@@ -150,29 +143,31 @@ def test_ddim_validates_order():
 
 
 def test_t_post_uniform_values():
-    assert t_post_uniform(1000, 100) == 950.0
-    assert t_post_uniform(100, 100) == 50.0
-    assert t_post_uniform(77.5, 0) == 77.5
-    with pytest.raises(ValueError):
-        t_post_uniform(10, -1)
+    plan = make_plan(10, 1000, "uniform", "all", (8, 19), 28)
+    assert plan.t_post(0) == 1000.0 - 100.0 / 2.0 == 950.0
+    assert plan.t_post(9) == 100.0 - 100.0 / 2.0 == 50.0  # the last gap runs down to 0
+    plan = make_plan(16, 1000, "uniform", "all", (8, 19), 28)
+    assert plan.t_post(8) == 500.0 - 62.5 / 2.0
 
 
 def test_t_post_rescaled_values():
-    assert abs(t_post_rescaled(1000, 100, 12, 28) - 957.142857142857) < 1e-9
-    assert t_post_rescaled(500, 40, 6, 6) == 500 - 40
-    assert t_post_rescaled(123.0, 0, 3, 6) == 123.0
-    with pytest.raises(ValueError):
-        t_post_rescaled(100, 10, 7, 6)
+    plan = make_plan(10, 1000, "rescaled", "all", (8, 19), 28)
+    assert plan.t_post(0) == 1000.0 - 100.0 * (12 / 28)
+    assert abs(plan.t_post(0) - 957.142857142857) < 1e-9
+    plan = make_plan(4, 1000, "rescaled", "all", (0, 5), 6)  # m = n
+    assert plan.t_post(1) == 750.0 - 250.0 * (6 / 6) == 500.0
 
 
 def test_t_post_annealed_values():
-    assert abs(t_post_annealed(900, 100, 12, 28, "n_over_m") - 690.0) < 1e-9
-    got = t_post_annealed(900, 100, 12, 28, "m_over_n")
-    assert abs(got - (900 - 100 * (12 / 28) * 0.9)) < 1e-9
-    # tiny shift falls back to the floor of 10
-    assert t_post_annealed(500, 1, 6, 6, "n_over_m") == 490.0
+    plan = make_plan(10, 1000, "annealed", "all", (8, 19), 28)
+    assert plan.t_post(0) == 1000.0 - 100.0 * (12 / 28)  # step 0: the rescaled rule
+    assert plan.t_post(1) == 900.0 - max(100.0 * (28 / 12) * (900.0 / 1000), 10.0)
+    assert abs(plan.t_post(1) - 690.0) < 1e-9
+    plan = make_plan(20, 100, "annealed", "all", (0, 5), 6)
+    # a tiny shift falls back to the floor of 10
+    assert plan.t_post(10) == 50.0 - max(5.0 * (6 / 6) * (50.0 / 100), 10.0) == 40.0
     # clamped at zero
-    assert t_post_annealed(8, 0, 6, 6) == 0.0
+    assert plan.t_post(19) == max(5.0 - max(5.0 * (6 / 6) * (5.0 / 100), 10.0), 0.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +209,13 @@ def test_preset_too_small_raises():
 def test_plan_validation():
     with pytest.raises(ValueError):
         InferencePlan(steps=(100.0, 200.0), feedback=(True, True),
-                      tpost_mode="uniform", orientation="n_over_m",
-                      loop_start=0, loop_end=1, n_blocks=4, T=1000)
+                      tpost_mode="uniform", loop_start=0, loop_end=1, n_blocks=4, T=1000)
     with pytest.raises(ValueError):
         make_plan(4, 1000, "bogus", "all", (0, 1), 4)
     with pytest.raises(ValueError):
         make_plan(4, 1000, "uniform", "all", (3, 1), 4)
+    with pytest.raises(ValueError):
+        make_plan(4, 1000, "rescaled", "all", (0, 4), 4)  # a loop wider than the depth
 
 
 def test_plan_tpost_clamps_and_orders():
@@ -229,11 +225,10 @@ def test_plan_tpost_clamps_and_orders():
         assert 0.0 <= tp <= plan.steps[k]
     # first annealed step must match the rescaled rule exactly
     t0, i0 = plan.steps[0], plan.gap(0)
-    assert plan.t_post(0) == t_post_rescaled(t0, i0, plan.m, plan.n_blocks)
+    assert plan.t_post(0) == t0 - i0 * (6 / 6)
     # later steps use the annealed rule
     t1, i1 = plan.steps[1], plan.gap(1)
-    assert plan.t_post(1) == t_post_annealed(t1, i1, plan.m, plan.n_blocks,
-                                             "n_over_m", 1000.0)
+    assert plan.t_post(1) == t1 - max(i1 * (6 / 6) * (t1 / 1000), 10.0)
 
 
 def test_plan_tpost_at_extends_the_step_rule_between_steps():
