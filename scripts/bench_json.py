@@ -19,8 +19,10 @@ ids of the tests it reported as failed or errored.
 Given more than one checkout, each workload entry also holds, under
 `versus`, the verdict against each other checkout for every end-to-end
 metric: the other's median, the ratio of the medians, on how many seeds
-this checkout read better, and whether its median is worse than the
-other's by more than the metric's `bound` in BENCHMARK.json.
+this checkout read better, whether its median is worse than the other's by
+more than the metric's `bound` in BENCHMARK.json, and whether the verdict is
+`unresolved`: the other's quartile spread is wider than the bound, and not
+every run of this checkout reads better than every run of the other.
 """
 
 from __future__ import annotations
@@ -116,7 +118,10 @@ def versus(runs: list, other: list, metrics: list) -> dict:
     """Per end-to-end metric, `runs` against the `other` checkout's runs: the
     other's median, the ratio of the medians (this / other), on how many of
     the seeds both measured this side read better (ties count for neither),
-    and whether this side's median is worse by more than the metric's bound."""
+    whether this side's median is worse by more than the metric's bound, and
+    whether the comparison is unresolved: the other side's quartile spread
+    (q3 - q1) / median is wider than the bound, and not every run of this
+    side reads better than every run of the other."""
     def by_seed(rs, name):
         return {r["seed"]: r["metrics"][name] for r in rs if name in r.get("metrics", {})}
 
@@ -125,13 +130,17 @@ def versus(runs: list, other: list, metrics: list) -> dict:
         mine, theirs = by_seed(runs, m["name"]), by_seed(other, m["name"])
         if not (mine and theirs):
             continue
-        a, b = (quartiles(list(d.values()))["median"] for d in (mine, theirs))
+        a = quartiles(list(mine.values()))["median"]
+        q = quartiles(list(theirs.values()))
+        b = q["median"]
         sign = 1 if m["better"] == "lower" else -1  # > 0: this side reads worse
         seeds = [s for s in mine if s in theirs]
+        all_better = max(sign * v for v in mine.values()) < min(sign * v for v in theirs.values())
         out[m["name"]] = {"other_median": b, "ratio": a / b,
                           "better_on": sum(sign * (mine[s] - theirs[s]) < 0 for s in seeds),
                           "pairs": len(seeds),
-                          "worse_beyond_bound": sign * (a - b) > m["bound"] * b}
+                          "worse_beyond_bound": sign * (a - b) > m["bound"] * b,
+                          "unresolved": q["q3"] - q["q1"] > m["bound"] * b and not all_better}
     return out
 
 

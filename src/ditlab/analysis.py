@@ -10,23 +10,12 @@ import numpy as np
 from . import schedule as sched
 from .caching import CacheConfig
 from .dit import BackboneConfig
+from .pgm import p5_bytes
 
 
 # ---------------------------------------------------------------------------
 # feature drift (per block, per step)
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class DriftMatrix:
-    values: np.ndarray      # [n_blocks, S], normalized to [0, 1]
-    blocks: list            # row labels
-    timesteps: list         # column labels
-    norm_const: float
-
-    def __post_init__(self):
-        if self.norm_const <= 0:
-            raise ValueError("normalization constant must be positive")
 
 
 @dataclass
@@ -70,17 +59,15 @@ def drift_over_blocks(taps) -> np.ndarray:
     return out
 
 
-def normalize_pair(a: np.ndarray, b: np.ndarray, timesteps) -> tuple:
-    """Normalize two paired raw drift matrices by their joint maximum."""
-    mx = float(max(a.max(), b.max()))
-    if mx <= 0:
-        raise ValueError("both drift matrices are all-zero")
-    blocks = list(range(a.shape[0]))
-    ts = list(timesteps)
-    return (
-        DriftMatrix(values=a / mx, blocks=blocks, timesteps=ts, norm_const=mx),
-        DriftMatrix(values=b / mx, blocks=blocks, timesteps=ts, norm_const=mx),
-    )
+def _joint_max(a: np.ndarray, b: np.ndarray) -> float:
+    """Joint maximum of a baseline/cached pair; 1.0 if both are all-zero."""
+    return float(max(a.max(), b.max())) or 1.0
+
+
+def normalize_pair(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Two paired raw drift matrices, each divided by their joint maximum."""
+    mx = _joint_max(a, b)
+    return a / mx, b / mx
 
 
 def compare_drift(baseline_taps, cached_taps, block_subset=None, step_subset=None) -> DriftReport:
@@ -93,9 +80,7 @@ def compare_drift(baseline_taps, cached_taps, block_subset=None, step_subset=Non
     raw_c = drift_over_time(cached_taps)
     rows = sorted(block_subset) if block_subset else list(range(raw_b.shape[0]))
     cols = sorted(step_subset) if step_subset else list(range(1, raw_b.shape[1]))
-    mx = float(max(raw_b.max(), raw_c.max()))
-    if mx <= 0:
-        return DriftReport(0.0, 0.0, float("nan"), degenerate=True)
+    mx = _joint_max(raw_b, raw_c)
     mean_b = float(raw_b[np.ix_(rows, cols)].mean()) / mx
     mean_c = float(raw_c[np.ix_(rows, cols)].mean()) / mx
     if mean_b == 0.0:
@@ -103,20 +88,17 @@ def compare_drift(baseline_taps, cached_taps, block_subset=None, step_subset=Non
     return DriftReport(mean_b, mean_c, mean_c / mean_b, degenerate=False)
 
 
-def drift_csv(matrix: DriftMatrix) -> str:
+def drift_csv(values: np.ndarray, timesteps) -> str:
     """Header row = timesteps, first column = block index."""
-    lines = ["block," + ",".join(repr(float(t)) for t in matrix.timesteps)]
-    for b, row in zip(matrix.blocks, matrix.values):
+    lines = ["block," + ",".join(repr(float(t)) for t in timesteps)]
+    for b, row in enumerate(values):
         lines.append(f"{b}," + ",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
 
 
-def heatmap_pgm(matrix: DriftMatrix) -> bytes:
+def heatmap_pgm(values: np.ndarray) -> bytes:
     """Grayscale PGM of a normalized drift matrix, values scaled by 255."""
-    v = np.clip(matrix.values, 0.0, 1.0)
-    payload = np.round(v * 255.0).astype(np.uint8)
-    h, w = payload.shape
-    return b"P5\n%d %d\n255\n" % (w, h) + payload.tobytes()
+    return p5_bytes(np.round(np.clip(values, 0.0, 1.0) * 255.0).astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,8 @@ def cmd_sample(config_path: str, kind: str, out_dir: str) -> dict:
 
 def cmd_drift(config_path: str, out_dir: str) -> dict:
     cfg = load_run_config(config_path)
+    if cfg.plan.steps < 2:
+        raise ConfigError(f"plan.steps={cfg.plan.steps}: drift needs at least 2 steps")
     os.makedirs(out_dir, exist_ok=True)
     ns = make_schedule(cfg.backbone.T)
     model = _load_backbone(cfg, os.path.join(cfg.out_dir, "backbone.ckpt"))
@@ -168,19 +170,15 @@ def cmd_drift(config_path: str, out_dir: str) -> dict:
            cache_cfg=cache_cfg, taps=cached)
     base_taps, cached_taps = base[0], cached[0]
 
-    time_pair = analysis.normalize_pair(
-        analysis.drift_over_time(base_taps), analysis.drift_over_time(cached_taps),
-        plan.steps)
-    block_pair = analysis.normalize_pair(
-        analysis.drift_over_blocks(base_taps), analysis.drift_over_blocks(cached_taps),
-        plan.steps)
-    names = ("drift_time_baseline", "drift_time_cached",
-             "drift_blocks_baseline", "drift_blocks_cached")
-    for name, matrix in zip(names, (*time_pair, *block_pair)):
-        with atomic_open(os.path.join(out_dir, f"{name}.csv"), "w") as f:
-            f.write(analysis.drift_csv(matrix))
-        with atomic_open(os.path.join(out_dir, f"{name}.pgm")) as f:
-            f.write(analysis.heatmap_pgm(matrix))
+    for axis, drift in (("time", analysis.drift_over_time),
+                        ("blocks", analysis.drift_over_blocks)):
+        pair = analysis.normalize_pair(drift(base_taps), drift(cached_taps))
+        for kind, values in zip(("baseline", "cached"), pair):
+            stem = os.path.join(out_dir, f"drift_{axis}_{kind}")
+            with atomic_open(stem + ".csv", "w") as f:
+                f.write(analysis.drift_csv(values, plan.steps))
+            with atomic_open(stem + ".pgm") as f:
+                f.write(analysis.heatmap_pgm(values))
 
     hits = [k for k, a in enumerate(plan.actions("cached", cache_cfg)) if a == "hit"]
     report = analysis.compare_drift(base_taps, cached_taps,

@@ -7,6 +7,12 @@ import numpy as np
 from .checkpoint import atomic_open
 
 
+def p5_bytes(u8: np.ndarray) -> bytes:
+    """The P5 header of a [H, W] uint8 array, then its pixels."""
+    h, w = u8.shape
+    return b"P5\n%d %d\n255\n" % (w, h) + u8.tobytes()
+
+
 def pgm_bytes(img: np.ndarray) -> bytes:
     """Encode one image ([-1, 1] floats, shape [H, W] or [1, H, W]) as P5."""
     if img.ndim == 3:
@@ -15,9 +21,7 @@ def pgm_bytes(img: np.ndarray) -> bytes:
         img = img[0]
     if img.ndim != 2:
         raise ValueError(f"expected a 2-d image, got shape {img.shape}")
-    u8 = np.round((np.clip(img, -1.0, 1.0) + 1.0) * 127.5).astype(np.uint8)
-    h, w = u8.shape
-    return b"P5\n%d %d\n255\n" % (w, h) + u8.tobytes()
+    return p5_bytes(np.round((np.clip(img, -1.0, 1.0) + 1.0) * 127.5).astype(np.uint8))
 
 
 def write_pgm(path: str, img: np.ndarray):

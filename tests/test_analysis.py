@@ -16,6 +16,7 @@ from ditlab.analysis import (
     rbf_mmd2,
     toy_quality,
 )
+from ditlab.pgm import pgm_bytes
 
 
 def taps_from(arr):
@@ -92,17 +93,16 @@ def test_normalize_pair_joint_max_is_one():
     rng = np.random.default_rng(4)
     a = np.abs(rng.normal(size=(3, 4)))
     b = np.abs(rng.normal(size=(3, 4))) * 3.0
-    na, nb = normalize_pair(a, b, timesteps=[4, 3, 2, 1])
-    joint = max(na.values.max(), nb.values.max())
+    na, nb = normalize_pair(a, b)
+    joint = max(na.max(), nb.max())
     assert abs(joint - 1.0) <= 1e-6
-    assert na.norm_const == nb.norm_const > 0
-    assert (na.values >= 0).all() and (nb.values >= 0).all()
+    assert (na >= 0).all() and (nb >= 0).all()
 
 
-def test_normalize_pair_rejects_all_zero():
+def test_normalize_pair_keeps_an_all_zero_pair():
     z = np.zeros((2, 2))
-    with pytest.raises(ValueError):
-        normalize_pair(z, z, timesteps=[2, 1])
+    na, nb = normalize_pair(z, z)
+    assert (na == 0.0).all() and (nb == 0.0).all()
 
 
 def test_drift_requires_two_steps():
@@ -154,9 +154,8 @@ def test_compare_drift_plan_length_mismatch():
 
 
 def test_drift_csv_layout():
-    mat, _ = normalize_pair(np.array([[1.0, 2.0]]), np.array([[0.5, 0.5]]),
-                            timesteps=[1000.0, 500.0])
-    text = drift_csv(mat)
+    mat, _ = normalize_pair(np.array([[1.0, 2.0]]), np.array([[0.5, 0.5]]))
+    text = drift_csv(mat, [1000.0, 500.0])
     lines = text.strip().split("\n")
     assert lines[0] == "block,1000.0,500.0"
     assert lines[1].startswith("0,")
@@ -164,12 +163,31 @@ def test_drift_csv_layout():
 
 def test_heatmap_pgm_format():
     mat, _ = normalize_pair(np.array([[1.0, 0.0], [0.5, 0.25]]),
-                            np.array([[0.1, 0.1], [0.1, 0.1]]),
-                            timesteps=[2, 1])
+                            np.array([[0.1, 0.1], [0.1, 0.1]]))
     blob = heatmap_pgm(mat)
     assert blob.startswith(b"P5\n2 2\n255\n")
     assert len(blob) == len(b"P5\n2 2\n255\n") + 4
     assert blob[-4] == 255  # the joint max maps to full white
+
+
+HEADER_1x6 = b"P5\n6 1\n255\n"
+
+
+def test_pgm_bytes_maps_minus_one_to_black_and_one_to_white():
+    blob = pgm_bytes(np.array([[-1.0, 0.0, 1.0, 2.0, -3.0, 0.5]]))
+    assert blob == HEADER_1x6 + bytes([0, 128, 255, 255, 0, 191])
+
+
+def test_pgm_bytes_takes_one_channel_first():
+    img = np.random.default_rng(9).uniform(-1.0, 1.0, size=(1, 3, 5))
+    assert pgm_bytes(img) == pgm_bytes(img[0])
+    assert pgm_bytes(img).startswith(b"P5\n5 3\n255\n")
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 4), (16,)])
+def test_pgm_bytes_refuses_other_shapes(shape):
+    with pytest.raises(ValueError):
+        pgm_bytes(np.zeros(shape))
 
 
 # ---------------------------------------------------------------------------

@@ -108,16 +108,36 @@ def test_each_file_holds_its_verdict_against_the_other_checkout(tmp_path, monkey
     a_vs, b_vs = a["workloads"][first]["versus"]["b"], b["workloads"][first]["versus"]["a"]
     assert sorted(a_vs) == sorted(b_vs) == ["backbone_train_iters_per_s", "setup_s"]
     # setup_s: medians 2.0 against 1.5; 2.0 > 1.5 * 1.25, so a is worse beyond the bound
+    # both sides' setup_s spreads are wider than the bound, and the runs overlap
     assert a_vs["setup_s"] == {"other_median": 1.5, "ratio": 2.0 / 1.5, "better_on": 2,
-                               "pairs": 3, "worse_beyond_bound": True}
+                               "pairs": 3, "worse_beyond_bound": True, "unresolved": True}
     assert b_vs["setup_s"] == {"other_median": 2.0, "ratio": 0.75, "better_on": 1,
-                               "pairs": 3, "worse_beyond_bound": False}
+                               "pairs": 3, "worse_beyond_bound": False, "unresolved": True}
     # iters/s: medians 7.0 against 10.0; 7.0 < 10.0 * 0.75, and seed 1 is a tie
     assert b_vs["backbone_train_iters_per_s"] == {
         "other_median": 10.0, "ratio": 0.7, "better_on": 0, "pairs": 3,
-        "worse_beyond_bound": True}
+        "worse_beyond_bound": True, "unresolved": False}
     assert a_vs["backbone_train_iters_per_s"]["better_on"] == 2
     assert not a_vs["backbone_train_iters_per_s"]["worse_beyond_bound"]
+
+
+def test_versus_is_unresolved_when_the_other_spread_is_wider_than_the_bound():
+    lower = [{"name": "ms", "better": "lower", "bound": 0.25}]
+    higher = [{"name": "ms", "better": "higher", "bound": 0.25}]
+    wide = [ok_run(s, v) for s, v in enumerate([10.0, 12.0, 20.0, 25.0, 30.0])]  # spread 0.65
+    narrow = [ok_run(s, v) for s, v in enumerate([19.0, 19.5, 20.0, 20.5, 21.0])]  # 0.05
+
+    def verdict(mine, other, metrics):
+        return bench_json.versus([ok_run(s, v) for s, v in enumerate(mine)], other,
+                                 metrics)["ms"]["unresolved"]
+
+    assert verdict([11.0, 15.0, 19.0, 22.0, 24.0], wide, lower)       # overlaps
+    assert not verdict([5.0, 6.0, 7.0, 8.0, 9.0], wide, lower)        # every run lower
+    assert verdict([5.0, 6.0, 7.0, 8.0, 10.0], wide, lower)           # a tie is not better
+    assert not verdict([31.0, 32.0, 40.0, 50.0, 60.0], wide, higher)  # every run higher
+    assert verdict([5.0, 6.0, 7.0, 8.0, 9.0], wide, higher)
+    assert not verdict([15.0, 18.0, 22.0, 26.0, 28.0], narrow, lower)  # narrow spread
+    assert not verdict([15.0, 18.0, 22.0, 26.0, 28.0], narrow, higher)
 
 
 def test_bad_checkout_or_seed_is_refused(tmp_path):

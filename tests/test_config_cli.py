@@ -594,6 +594,38 @@ def test_drift_identical_configs_ratio_one(trained_dir, tmp_path):
     assert float(rows[0]["ratio"]) == 1.0
 
 
+def test_drift_on_an_untrained_backbone_writes_zeros(tmp_path):
+    """adaLN-Zero blocks start as identities, so every block's output equals
+    its input and drift over blocks is all-zero for both kinds."""
+    d = tiny_config_dict(str(tmp_path / "zero"))
+    d["backbone_train"]["iterations"] = 0
+    d["ilf"]["train"]["iterations"] = 0
+    path = write_config(tmp_path, d)
+    cli.cmd_train(path)
+    out = tmp_path / "drift"
+    cli.cmd_drift(path, str(out))
+    assert sorted(os.listdir(out)) == sorted(
+        [f"drift_{axis}_{kind}.{ext}" for axis in ("time", "blocks")
+         for kind in ("baseline", "cached") for ext in ("csv", "pgm")] + ["direction.csv"])
+    for kind in ("baseline", "cached"):
+        with open(out / f"drift_blocks_{kind}.csv") as f:
+            rows = list(csv.reader(f))[1:]
+        assert len(rows) == 3
+        assert all(v == "0.0" for row in rows for v in row[1:])
+        blob = (out / f"drift_blocks_{kind}.pgm").read_bytes()
+        header = b"P5\n5 3\n255\n"
+        assert blob.startswith(header) and blob[len(header):] == bytes(15)
+
+
+def test_drift_with_one_step_is_one_error_line_before_any_output(trained_dir, tmp_path, capsys):
+    path = write_config(tmp_path, tiny_config_dict(trained_dir["out"], steps=1))
+    out = tmp_path / "drift"
+    assert cli.main(["drift", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "plan.steps" in err[0], err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # bench command
 # ---------------------------------------------------------------------------
